@@ -21,11 +21,17 @@
 //! fails to beat depth 1 by at least 1.5× on uniform lookups, or when the
 //! overlap gauges show the pipeline never went concurrent (mean in-flight
 //! ≤ 1.5 at depth 4).  The gate then repeats the sweep on a 50%-insert
-//! uniform workload — write pipelining with lock-atomic critical sections —
+//! uniform workload — write pipelining through the lock critical sections —
 //! requiring depth-1 equivalence within 5% and a depth-4 speedup of at
-//! least 1.3×.
+//! least 1.3×.  Last, a skewed 50%-write case gates on properties rather
+//! than tolerances: at depth 8 at least one write must take its lock by
+//! local HOCL handover, and the tree must match the model afterwards.
 
+use sherman::{Cluster, ClusterConfig, OpOutput, PipelineOp, TreeConfig, TreeOptions};
 use sherman_bench::{fmt_mops, fmt_us, print_table, run_pipeline_experiment, Args, PipelineExperiment};
+use sherman_sim::FabricConfig;
+use sherman_workload::{KeyDistribution, Mix, Op, WorkloadSpec};
+use std::collections::BTreeSet;
 
 fn main() {
     let args = Args::from_env();
@@ -96,11 +102,12 @@ fn row(result: &sherman_bench::PipelineResult, base: f64) -> Vec<String> {
 
 /// CI gate: depth-1 equivalence and the depth-4 speedup, at quick scale —
 /// once on uniform lookups (≥ 1.5×) and once on a 50%-insert mixed workload
-/// (≥ 1.3×, critical sections bound the attainable overlap).
+/// (≥ 1.3×) — then the skewed-write property case.
 fn smoke(args: &Args) {
     let mut failures = Vec::new();
     smoke_case(args, "reads", 0, 1.5, &mut failures);
     smoke_case(args, "mixed-50i", 50, 1.3, &mut failures);
+    smoke_skewed_writes(&mut failures);
     if failures.is_empty() {
         println!("pipeline smoke: OK");
     } else {
@@ -155,6 +162,104 @@ fn smoke_case(
         failures.push(format!(
             "[{case}] depth-4 mean in-flight {:.2} shows no real overlap (needs > 1.5)",
             depth4.overlap.mean_in_flight()
+        ));
+    }
+}
+
+/// The skewed-write property case: one client keeps 8 operations in flight
+/// on a scrambled-Zipfian (θ = 0.99) mix of 50% updates and 50% lookups.
+/// Every update of a key stores the same value, so the final tree does not
+/// depend on the order in which writes to one key commit and must equal the
+/// model exactly; lookups must see the old or the new value.  Same-context
+/// writers queue on the hot leaves' locks, so some of them must get their
+/// lock by local handover.
+fn smoke_skewed_writes(failures: &mut Vec<String>) {
+    let spec = WorkloadSpec {
+        key_space: 1 << 15,
+        bulkload_keys: 1 << 15,
+        mix: Mix {
+            insert_pct: 50,
+            lookup_pct: 50,
+            delete_pct: 0,
+            range_pct: 0,
+        },
+        distribution: KeyDistribution::ScrambledZipfian { theta: 0.99 },
+        range_size: 1,
+        seed: 0x5EED,
+        update_fraction: 1.0,
+    };
+    spec.validate().expect("valid skewed workload");
+    let old = |k: u64| k * 3 + 1;
+    let new = |k: u64| k * 5 + 7;
+    let config = ClusterConfig {
+        fabric: FabricConfig {
+            memory_servers: 4,
+            compute_servers: 2,
+            ..FabricConfig::default()
+        },
+        tree: TreeConfig::default(),
+    };
+    let cluster = Cluster::new(config, TreeOptions::sherman());
+    cluster
+        .bulkload((0..spec.key_space).map(|k| (k, old(k))))
+        .expect("bulkload");
+    let mut gen = spec.generator(0);
+    let ops: Vec<PipelineOp> = (0..4_000)
+        .map(|_| match gen.next_op() {
+            Op::Insert { key, .. } => PipelineOp::Insert {
+                key,
+                value: new(key),
+            },
+            Op::Lookup { key } => PipelineOp::Lookup { key },
+            other => unreachable!("the mix issues updates and lookups only, got {other:?}"),
+        })
+        .collect();
+    let report = cluster
+        .client(0)
+        .run_pipelined(ops.iter().copied(), 8)
+        .expect("pipelined run");
+
+    let handovers = report.results.iter().filter(|r| r.handed_over).count();
+    let mut mismatches = 0usize;
+    for r in &report.results {
+        if let (PipelineOp::Lookup { key }, OpOutput::Lookup(v)) = (&r.op, &r.output) {
+            if *v != Some(old(*key)) && *v != Some(new(*key)) {
+                mismatches += 1;
+            }
+        }
+    }
+    let written: BTreeSet<u64> = ops
+        .iter()
+        .filter_map(|op| match *op {
+            PipelineOp::Insert { key, .. } => Some(key),
+            _ => None,
+        })
+        .collect();
+    let (scan, _) = cluster
+        .client(1)
+        .range(0, spec.key_space as usize + 1)
+        .expect("model scan");
+    let expect: Vec<(u64, u64)> = (0..spec.key_space)
+        .map(|k| (k, if written.contains(&k) { new(k) } else { old(k) }))
+        .collect();
+    if scan != expect {
+        mismatches += 1;
+    }
+    let writes = ops
+        .iter()
+        .filter(|op| matches!(op, PipelineOp::Insert { .. }))
+        .count();
+    println!(
+        "pipeline smoke [skewed-50w]: depth8={} handovers={handovers}/{writes} writes \
+         model_mismatches={mismatches}",
+        fmt_mops(report.throughput_ops()),
+    );
+    if handovers == 0 {
+        failures.push("[skewed-50w] no write took its lock by local handover at depth 8".into());
+    }
+    if mismatches > 0 {
+        failures.push(format!(
+            "[skewed-50w] {mismatches} lookup(s) or the final tree disagree with the model"
         ));
     }
 }

@@ -23,8 +23,8 @@ use crate::error::TreeError;
 use crate::layout::NodeLayout;
 use crate::node::{InternalEntry, InternalNode, LeafNode};
 use crate::ops::{
-    self, drive_blocking, DeleteSM, InsertSM, LeafSource, LookupSM, OpCx, OpMeta, RangeSM,
-    ReadNodeSM, Step, TraverseSM, WriteCommit,
+    self, drive_blocking, LeafSource, LookupSM, OpCx, OpMeta, Park, RangeSM, ReadNodeSM, Step,
+    Tail, TraverseSM, WriteCommit, WriteKind, WriteSM,
 };
 use crate::stats::OpStats;
 use crate::TreeResult;
@@ -104,6 +104,12 @@ pub struct TreeClient<B: FabricBackend = Fabric> {
     /// pre-retirement reader is left.
     pub(crate) reader: ReaderHandle,
     pub(crate) cs_id: u16,
+    /// Set by the pipelined scheduler while a structural tail waits for this
+    /// context's locks to drain: write ops start no new acquisition.
+    pub(crate) lock_gate: bool,
+    /// Leaves whose merge tail is parked on this context (later deletes of
+    /// the same leaf need not queue another).
+    pub(crate) merge_tails: Vec<GlobalAddress>,
 }
 
 impl<B: FabricBackend> std::fmt::Debug for TreeClient<B> {
@@ -129,6 +135,8 @@ impl<B: FabricBackend> TreeClient<B> {
             allocator,
             reader,
             cs_id,
+            lock_gate: false,
+            merge_tails: Vec::new(),
         }
     }
 
@@ -190,17 +198,32 @@ impl<B: FabricBackend> TreeClient<B> {
         self.cluster.options().combine_commands
     }
 
-    /// Acquire the exclusive lock on `addr`, folding the outcome into `meta`.
-    /// Marks the context as inside a critical section from the moment the
-    /// lock is held (the fabric trace pins down that no other operation's
-    /// verbs interleave until the matching release).
+    /// Identity of the lock word guarding `addr`, as the verb trace records
+    /// it.
+    fn lock_word(&self, addr: GlobalAddress) -> u128 {
+        self.cluster.lock_manager().lock_rank(addr)
+    }
+
+    /// Acquire the exclusive lock on `addr`, blocking, folding the outcome
+    /// into `meta`.  The current op's critical section on the lock word is
+    /// open from the moment the lock is held until the matching release.
     fn acquire_lock(&mut self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<()> {
         let mgr = Arc::clone(self.cluster.lock_manager());
         let acq = mgr.acquire(&mut self.ctx, addr)?;
         meta.lock_retries += acq.remote_retries;
         meta.handed_over |= acq.handed_over;
-        self.ctx.begin_critical();
+        self.ctx.begin_critical(self.lock_word(addr));
         Ok(())
+    }
+
+    /// The write fast path just took the lock on leaf `addr` (by CAS or
+    /// handover): open the critical section and post the locked read of the
+    /// leaf (no retry loop needed: writers are excluded, readers never
+    /// modify).
+    pub(crate) fn read_locked_leaf(&mut self, addr: GlobalAddress) -> TreeResult<PendingVerb> {
+        self.ctx.begin_critical(self.lock_word(addr));
+        let node_size = self.layout().node_size();
+        Ok(self.ctx.post_read(addr, node_size)?)
     }
 
     /// Release the exclusive lock on `addr`, flushing `writes` according to
@@ -210,7 +233,7 @@ impl<B: FabricBackend> TreeClient<B> {
         let combine = self.combine();
         let mgr = Arc::clone(self.cluster.lock_manager());
         mgr.release(&mut self.ctx, addr, writes, combine)?;
-        self.ctx.end_critical();
+        self.ctx.end_critical(self.lock_word(addr));
         Ok(())
     }
 
@@ -228,7 +251,7 @@ impl<B: FabricBackend> TreeClient<B> {
         let combine = self.combine();
         let mgr = Arc::clone(self.cluster.lock_manager());
         let (_, deferred) = mgr.release_deferred(&mut self.ctx, addr, writes, combine, true)?;
-        self.ctx.end_critical();
+        self.ctx.end_critical(self.lock_word(addr));
         Ok(deferred)
     }
 
@@ -239,6 +262,27 @@ impl<B: FabricBackend> TreeClient<B> {
             ctx: &mut self.ctx,
             cs_id: self.cs_id,
         }
+    }
+
+    /// Run a write's structural tail as one atomic segment: no other op on
+    /// this context is stepped until it returns, and it starts holding no
+    /// lock (see the `ops` module docs).  A merge that loses its races
+    /// (retry budgets included) does not fail the delete, which already
+    /// committed; a later delete retries it.
+    pub(crate) fn run_tail(&mut self, tail: Tail, meta: &mut OpMeta) -> TreeResult<()> {
+        self.ctx.begin_atomic();
+        let result = match tail {
+            Tail::Separator { key, child } => self.insert_separator_at(key, child, 1, meta),
+            Tail::Merge { addr } => {
+                self.merge_tails.retain(|&a| a != addr);
+                match self.try_merge(addr, 0, meta) {
+                    Ok(()) | Err(TreeError::RetriesExhausted { .. }) => Ok(()),
+                    Err(e) => Err(e),
+                }
+            }
+        };
+        self.ctx.end_atomic();
+        result
     }
 
     // ------------------------------------------------------------------
@@ -299,10 +343,10 @@ impl<B: FabricBackend> TreeClient<B> {
         &mut self,
         key: u64,
         addr: GlobalAddress,
-        leaf: &LeafNode,
+        header: &crate::node::NodeHeader,
         source: LeafSource,
     ) -> Option<GlobalAddress> {
-        ops::next_after_mismatch(&mut self.op_cx(), key, addr, leaf, source)
+        ops::next_after_mismatch(&mut self.op_cx(), key, addr, header, source)
     }
 
     // ------------------------------------------------------------------
@@ -339,10 +383,16 @@ impl<B: FabricBackend> TreeClient<B> {
         meta: &mut OpMeta,
         mut step: impl FnMut(&mut TreeClient<B>, &mut OpMeta, Option<Completion>) -> TreeResult<Step<T>>,
     ) -> TreeResult<T> {
+        let poll_ns = self.cluster.lock_manager().poll_interval_ns();
         let mut completion = None;
         loop {
             match step(self, meta, completion.take())? {
-                Step::Pending(token) => completion = Some(self.ctx.poll_token(token)),
+                Step::Pending(Park::Verb(token)) => completion = Some(self.ctx.poll_token(token)),
+                // Another thread holds the local lock: spin on CPU time,
+                // exactly like HOCL's blocking acquire.
+                Step::Pending(Park::Lock) => self.ctx.charge_cpu(poll_ns),
+                // The only op on this context holds no lock: the tail may run.
+                Step::Pending(Park::Tail) => {}
                 Step::Done(value) => return Ok(value),
             }
         }
@@ -350,7 +400,7 @@ impl<B: FabricBackend> TreeClient<B> {
 
     /// Insert `key → value`, overwriting any existing value.
     ///
-    /// Blocking form of the insert state machine: one verb in flight at a
+    /// Blocking form of the write state machine: one verb in flight at a
     /// time, which is exactly what a pipelined run at depth 1 executes.
     pub fn insert(&mut self, key: u64, value: u64) -> TreeResult<OpStats> {
         self.drain_coherence();
@@ -358,43 +408,50 @@ impl<B: FabricBackend> TreeClient<B> {
         let t0 = self.ctx.now();
         let _pin = self.reader.pin();
         let mut meta = OpMeta::default();
-        let mut sm = InsertSM::new(&self.op_cx(), key, value);
+        let mut sm = WriteSM::new(&self.op_cx(), key, WriteKind::Insert { value });
         self.drive_write(&mut meta, |client, meta, c| sm.step(client, meta, c))?;
         Ok(self.finish(before, t0, meta))
     }
 
-    /// The insert critical section, run synchronously against the leaf at
-    /// `addr`: acquire its lock, read and revalidate it, install the entry
-    /// (or split), and release.  On the fast path the combined
-    /// write-back + release verb is posted split-phase and returned for the
-    /// caller to park on; every other exit observes its release inline so
-    /// depth-1 pipelining stays verb-for-verb identical to blocking.
+    /// Release a locked leaf that turned out not to cover `key` untouched,
+    /// and decide where the write retries.
+    fn commit_mismatch(
+        &mut self,
+        addr: GlobalAddress,
+        source: LeafSource,
+        key: u64,
+        header: &crate::node::NodeHeader,
+    ) -> TreeResult<(WriteCommit, Option<PendingVerb>)> {
+        if header.free && matches!(source, LeafSource::Cache { .. } | LeafSource::TopCache) {
+            // The cache routed this write to a retired leaf: its
+            // invalidation is still in flight.
+            self.cluster.coherence_counters().record_stale_hit();
+        }
+        let release = self.release_lock_deferred(addr, Vec::new())?;
+        let next = self
+            .next_after_mismatch(key, addr, header, source)
+            .map(|a| (a, LeafSource::Sibling));
+        Ok((WriteCommit::Retry { next }, release))
+    }
+
+    /// The insert commit, given the image of the leaf at `addr` read under
+    /// its lock: revalidate it, install the entry (or split the leaf), and
+    /// post the combined write-back + release split-phase, returning its
+    /// verb for the caller to park on.  A split hands back the separator
+    /// insertion as the structural tail.
     pub(crate) fn insert_commit(
         &mut self,
         addr: GlobalAddress,
         source: LeafSource,
         key: u64,
         value: u64,
-        meta: &mut OpMeta,
-    ) -> TreeResult<WriteCommit> {
-        self.acquire_lock(addr, meta)?;
-
-        let buf = self.read_node_locked(addr)?;
-        let mut leaf = self.layout().decode_leaf(&buf);
-        if leaf.header.free || !leaf.header.is_leaf || !leaf.header.covers(key) {
-            if leaf.header.free
-                && matches!(source, LeafSource::Cache { .. } | LeafSource::TopCache)
-            {
-                // The cache routed this write to a retired leaf: its
-                // invalidation is still in flight.
-                self.cluster.coherence_counters().record_stale_hit();
-            }
-            self.release_lock(addr, Vec::new())?;
-            let next = self
-                .next_after_mismatch(key, addr, &leaf, source)
-                .map(|a| (a, LeafSource::Sibling));
-            return Ok(WriteCommit::Retry { next });
+        buf: &[u8],
+    ) -> TreeResult<(WriteCommit, Option<PendingVerb>)> {
+        let header = self.layout().decode_header(buf);
+        if header.free || !header.is_leaf || !header.covers(key) {
+            return self.commit_mismatch(addr, source, key, &header);
         }
+        let mut leaf = self.layout().decode_leaf(buf);
 
         // Update in place or take a vacant slot.
         let slot = leaf.slot_of(key).or_else(|| leaf.vacant_slot());
@@ -402,20 +459,18 @@ impl<B: FabricBackend> TreeClient<B> {
             leaf.entries[slot].install(key, value);
             let writes = self.leaf_writeback(addr, &mut leaf, slot);
             let release = self.release_lock_deferred(addr, writes)?;
-            return Ok(WriteCommit::Committed {
-                found: true,
+            return Ok((
+                WriteCommit::Committed {
+                    found: true,
+                    tail: None,
+                },
                 release,
-            });
+            ));
         }
 
-        // Leaf full: the split and its separator propagation run to
-        // completion inside this step (further locks are taken, so nothing
-        // may stay deferred across them).
-        self.split_leaf(addr, leaf, key, value, meta)?;
-        Ok(WriteCommit::Committed {
-            found: true,
-            release: None,
-        })
+        // Leaf full: split it under this lock; the separator propagation
+        // runs afterwards as the structural tail.
+        self.split_leaf(addr, leaf, key, value)
     }
 
     /// Build the write-back command(s) for a point modification of `slot`.
@@ -469,8 +524,7 @@ impl<B: FabricBackend> TreeClient<B> {
         mut leaf: LeafNode,
         key: u64,
         value: u64,
-        meta: &mut OpMeta,
-    ) -> TreeResult<()> {
+    ) -> TreeResult<(WriteCommit, Option<PendingVerb>)> {
         let layout = *self.layout();
         // Sorting the (possibly unsorted) leaf before the split costs local
         // CPU time (Figure 7, line 21).
@@ -516,10 +570,20 @@ impl<B: FabricBackend> TreeClient<B> {
             self.ctx.write(sibling_addr, &right_bytes)?;
         }
         writes.push(WriteCmd::new(addr, left_bytes));
-        self.release_lock(addr, writes)?;
+        let release = self.release_lock_deferred(addr, writes)?;
 
-        // Propagate the separator into the parent level.
-        self.insert_separator_at(split_key, sibling_addr, 1, meta)
+        // The separator goes into the parent level once the release lands.
+        let tail = Tail::Separator {
+            key: split_key,
+            child: sibling_addr,
+        };
+        Ok((
+            WriteCommit::Committed {
+                found: true,
+                tail: Some(tail),
+            },
+            release,
+        ))
     }
 
     // ------------------------------------------------------------------
@@ -535,11 +599,18 @@ impl<B: FabricBackend> TreeClient<B> {
     ) -> TreeResult<()> {
         let restarts = self.cluster.config().max_restarts;
         let mut pending: Option<GlobalAddress> = None;
+        // One traversal carried across every retry: after its first miss it
+        // distrusts the cache shortcuts instead of following the same stale
+        // route again (see `TraverseSM::begin_attempt`).
+        let mut route = TraverseSM::new(&self.op_cx(), sep_key, parent_level);
         for attempt in 0..restarts {
             if attempt > 0 {
                 // Lost a race (root growth, a concurrent split moving the
-                // key range): pace the retry so the winner can finish.
+                // key range): pace the retry so the winner can finish, and
+                // apply the invalidations delivered meanwhile — a retired
+                // node's `Invalidate` must not wait for the next op boundary.
                 self.ctx.contention_backoff(attempt);
+                self.drain_coherence();
             }
             let (_, root_level) = self.root()?;
             if root_level < parent_level {
@@ -548,9 +619,15 @@ impl<B: FabricBackend> TreeClient<B> {
                 }
                 continue;
             }
-            let addr = match pending.take() {
-                Some(a) => a,
-                None => self.traverse_to_level(sep_key, parent_level, meta)?,
+            let (addr, cache_routed) = match pending.take() {
+                Some(a) => (a, false),
+                None => {
+                    route.restart();
+                    let mut cx = self.op_cx();
+                    let addr =
+                        drive_blocking(&mut cx, meta, |cx, meta, c| route.step(cx, meta, c))?;
+                    (addr, route.route_from_cache())
+                }
             };
             self.acquire_lock(addr, meta)?;
 
@@ -562,6 +639,15 @@ impl<B: FabricBackend> TreeClient<B> {
                 && node.header.covers(sep_key);
             if !usable {
                 self.release_lock(addr, Vec::new())?;
+                if cache_routed || node.header.free {
+                    // The type-❷ cache handed out this address without the
+                    // traversal reading it (or it is a tombstone): scrub
+                    // every cached route to it, as leaf mismatches do.
+                    if cache_routed && node.header.free {
+                        self.cluster.coherence_counters().record_stale_hit();
+                    }
+                    self.cluster.cache(self.cs_id).invalidate_addr(addr);
+                }
                 if !node.header.free
                     && node.header.level == parent_level
                     && sep_key >= node.header.fence_high
@@ -710,48 +796,37 @@ impl<B: FabricBackend> TreeClient<B> {
         let t0 = self.ctx.now();
         let _pin = self.reader.pin();
         let mut meta = OpMeta::default();
-        let mut sm = DeleteSM::new(&self.op_cx(), key);
+        let mut sm = WriteSM::new(&self.op_cx(), key, WriteKind::Delete);
         let deleted = self.drive_write(&mut meta, |client, meta, c| sm.step(client, meta, c))?;
         Ok((deleted, self.finish(before, t0, meta)))
     }
 
-    /// The delete critical section, run synchronously against the leaf at
-    /// `addr` — the write-path twin of [`TreeClient::insert_commit`].  A
-    /// delete that leaves the leaf underfull runs the structural-merge
-    /// machinery inside this same step (after observing the leaf release
-    /// inline), so no deferral crosses the merge's own critical sections.
+    /// The delete commit, given the image of the leaf at `addr` read under
+    /// its lock — the twin of [`TreeClient::insert_commit`].  A delete that
+    /// leaves the leaf underfull hands back the structural merge as the
+    /// tail.
     pub(crate) fn delete_commit(
         &mut self,
         addr: GlobalAddress,
         source: LeafSource,
         key: u64,
-        meta: &mut OpMeta,
-    ) -> TreeResult<WriteCommit> {
-        self.acquire_lock(addr, meta)?;
-
-        let buf = self.read_node_locked(addr)?;
-        let mut leaf = self.layout().decode_leaf(&buf);
-        if leaf.header.free || !leaf.header.is_leaf || !leaf.header.covers(key) {
-            if leaf.header.free
-                && matches!(source, LeafSource::Cache { .. } | LeafSource::TopCache)
-            {
-                // The cache routed this write to a retired leaf: its
-                // invalidation is still in flight.
-                self.cluster.coherence_counters().record_stale_hit();
-            }
-            self.release_lock(addr, Vec::new())?;
-            let next = self
-                .next_after_mismatch(key, addr, &leaf, source)
-                .map(|a| (a, LeafSource::Sibling));
-            return Ok(WriteCommit::Retry { next });
+        buf: &[u8],
+    ) -> TreeResult<(WriteCommit, Option<PendingVerb>)> {
+        let header = self.layout().decode_header(buf);
+        if header.free || !header.is_leaf || !header.covers(key) {
+            return self.commit_mismatch(addr, source, key, &header);
         }
+        let mut leaf = self.layout().decode_leaf(buf);
 
         let Some(slot) = leaf.slot_of(key) else {
             let release = self.release_lock_deferred(addr, Vec::new())?;
-            return Ok(WriteCommit::Committed {
-                found: false,
+            return Ok((
+                WriteCommit::Committed {
+                    found: false,
+                    tail: None,
+                },
                 release,
-            });
+            ));
         };
         leaf.entries[slot].clear();
         let writes = match self.leaf_format() {
@@ -767,39 +842,34 @@ impl<B: FabricBackend> TreeClient<B> {
                 vec![WriteCmd::new(addr, self.encode_leaf_for_write(&leaf))]
             }
         };
+        let release = self.release_lock_deferred(addr, writes)?;
 
         // Structural deletes (§ beyond the paper): once the leaf drops
         // below the merge threshold, pair it with a sibling — its right
         // B-link sibling when one exists under the same parent, its left
         // sibling otherwise (direction-complete) — and merge or
-        // rebalance.  Best-effort — the delete itself has already
-        // committed, so a merge that loses its races (retry budgets
-        // included) must not fail the operation; a later delete will
-        // retry it.  The merge takes further locks, so the leaf release is
-        // observed inline instead of deferred.
-        if self.cluster.options().structural_deletes_enabled()
-            && leaf.live_count() < self.leaf_merge_floor()
-        {
-            self.release_lock(addr, writes)?;
-            match self.try_merge(addr, 0, Some(&leaf.header), meta) {
-                Ok(()) | Err(TreeError::RetriesExhausted { .. }) => {}
-                Err(e) => return Err(e),
-            }
-            return Ok(WriteCommit::Committed {
-                found: true,
-                release: None,
-            });
-        }
-        let release = self.release_lock_deferred(addr, writes)?;
-        Ok(WriteCommit::Committed {
-            found: true,
-            release,
-        })
+        // rebalance, as the tail.
+        let tail = (self.cluster.options().structural_deletes_enabled()
+            && leaf.live_count() < self.leaf_merge_floor())
+        .then_some(Tail::Merge { addr });
+        Ok((WriteCommit::Committed { found: true, tail }, release))
     }
 
     // ------------------------------------------------------------------
     // Structural deletes: merge, rebalance, root collapse, reclamation
     // ------------------------------------------------------------------
+
+    /// Whether the lock-free leaf image `buf` still asks for a merge: a live
+    /// leaf below the merge floor, or a torn image (the merge re-reads it).
+    pub(crate) fn merge_wanted(&self, buf: &[u8]) -> bool {
+        if !self.cluster.node_image_ok(buf) {
+            return true;
+        }
+        let header = self.layout().decode_header(buf);
+        !header.free
+            && header.is_leaf
+            && self.layout().decode_leaf(buf).live_count() < self.leaf_merge_floor()
+    }
 
     /// Live-entry count below which a leaf becomes a merge candidate.
     fn leaf_merge_floor(&self) -> usize {
@@ -826,9 +896,7 @@ impl<B: FabricBackend> TreeClient<B> {
             let acq = mgr.acquire(&mut self.ctx, rep)?;
             meta.lock_retries += acq.remote_retries;
             meta.handed_over |= acq.handed_over;
-            // Critical-section depth nests: the section opens with the first
-            // lock of the plan and closes with the last release.
-            self.ctx.begin_critical();
+            self.ctx.begin_critical(mgr.lock_rank(rep));
         }
         Ok(plan)
     }
@@ -859,7 +927,7 @@ impl<B: FabricBackend> TreeClient<B> {
                 }
             });
             mgr.release(&mut self.ctx, rep, batch, combine)?;
-            self.ctx.end_critical();
+            self.ctx.end_critical(mgr.lock_rank(rep));
         }
         debug_assert!(writes.is_empty(), "write-back without a guarding lock");
         Ok(())
@@ -959,32 +1027,39 @@ impl<B: FabricBackend> TreeClient<B> {
     /// manager's global rank order) and re-validated; any mismatch releases
     /// the locks untouched.
     ///
-    /// `known_hdr` lets the delete path pass the leaf header it already holds
-    /// (saving a remote read); the cascade path passes `None`.  Either way the
-    /// header only seeds discovery — phase 2 re-validates under the locks.
+    /// The node is read afresh: a delete's merge runs as a structural tail,
+    /// after other ops may have merged, split or refilled it.  The image only
+    /// seeds discovery — phase 2 re-validates under the locks.
     fn try_merge(
         &mut self,
         node_addr: GlobalAddress,
         level: u8,
-        known_hdr: Option<&crate::node::NodeHeader>,
         meta: &mut OpMeta,
     ) -> TreeResult<()> {
+        let buf = self.read_node_consistent(node_addr, meta)?;
+        let hdr = self.layout().decode_header(&buf);
+        if hdr.free || hdr.level != level {
+            return Ok(());
+        }
+        // No longer a merge candidate: skip the partner search.
+        let (occupancy, floor) = if level == 0 {
+            (
+                self.layout().decode_leaf(&buf).live_count(),
+                self.leaf_merge_floor(),
+            )
+        } else {
+            let node = self.layout().decode_internal(&buf);
+            (node.entries.len(), self.internal_merge_floor())
+        };
+        if occupancy >= floor {
+            return Ok(());
+        }
         // Phase 1 (lock-free): resolve the parent once and pair the node
         // with a same-parent sibling.  Prefer the right B-link sibling; fall
         // through to the parent-guided left pairing when there is none under
         // this parent *or* when the right attempt declined (e.g. at
         // aggressive merge thresholds the right pair may neither fit nor
         // have spare while the left sibling could still absorb or donate).
-        let hdr = match known_hdr {
-            Some(h) => h.clone(),
-            None => {
-                let buf = self.read_node_consistent(node_addr, meta)?;
-                self.layout().decode_header(&buf)
-            }
-        };
-        if hdr.free || hdr.level != level {
-            return Ok(());
-        }
         let Some(partners) = self.find_merge_pair(node_addr, &hdr, level, meta)? else {
             return Ok(());
         };
@@ -1019,9 +1094,17 @@ impl<B: FabricBackend> TreeClient<B> {
         // predicate covers both directions: the pair must be fence-adjacent
         // B-link siblings whose separator lives in this parent.
         let plan = self.acquire_plan(&[left_addr, right_addr, parent_addr], meta)?;
-        let left_buf = self.read_node_locked(left_addr)?;
-        let right_buf = self.read_node_locked(right_addr)?;
-        let parent_buf = self.read_node_locked(parent_addr)?;
+        // The three locked images travel as one parallel read batch.
+        let node_size = self.layout().node_size();
+        let token = self.ctx.post_read_batch(&[
+            (left_addr, node_size),
+            (right_addr, node_size),
+            (parent_addr, node_size),
+        ])?;
+        let images = self.ctx.poll_token(token).result.into_read_batch();
+        self.ctx.charge_scan(images.len() * node_size);
+        let [left_buf, right_buf, parent_buf]: [Vec<u8>; 3] =
+            images.try_into().expect("one image per locked node");
         let lh = self.layout().decode_header(&left_buf);
         let rh = self.layout().decode_header(&right_buf);
         let mut parent = self.layout().decode_internal(&parent_buf);
@@ -1182,12 +1265,12 @@ impl<B: FabricBackend> TreeClient<B> {
             self.internal_merge_floor()
         };
         if merged && survivor_live < floor {
-            self.try_merge(left_addr, level, None, meta)?;
+            self.try_merge(left_addr, level, meta)?;
         }
         if cascade {
             // The parent itself dropped below the merge threshold: recurse
             // one level up (bounded by the tree height).
-            self.try_merge(parent_addr, level + 1, None, meta)?;
+            self.try_merge(parent_addr, level + 1, meta)?;
         }
         Ok(true)
     }
@@ -1741,6 +1824,60 @@ mod tests {
             let (scan, _) = client.range(0, 30).unwrap();
             assert_eq!(scan.len(), 30, "{name}");
             assert!(scan.windows(2).all(|w| w[0].0 < w[1].0), "{name}");
+        }
+    }
+
+    /// The separator-insertion livelock: the type-❷ cache holds a stale root
+    /// image whose child for the key — a level-2 node in its day — is now a
+    /// leaf (a freed node recycled as one), and no level-2 image covers the
+    /// key.  The traversal to level 2 returns that address without reading
+    /// it; separator insertion must scrub the route and distrust shortcuts
+    /// on its retry instead of following it until the restart budget runs
+    /// out.
+    #[test]
+    fn separator_insertion_recovers_from_a_cache_route_to_a_recycled_node() {
+        let cluster = small_cluster(TreeOptions::sherman());
+        let n = 3_000u64;
+        cluster.bulkload((0..n).map(|k| (k, k + 1))).unwrap();
+        let root = cluster.root_hint().unwrap();
+        assert_eq!(
+            root.level, 3,
+            "the scenario needs a level-2 parent below the root"
+        );
+        let mut client = cluster.client(0);
+        let mut meta = OpMeta::default();
+        let key = n / 2;
+
+        // Re-inserting a separator the level-2 parent already holds is a
+        // structural no-op, so the insertion itself cannot disturb the tree.
+        let parent = client.traverse_to_level(key, 2, &mut meta).unwrap();
+        let buf = client.read_node_consistent(parent, &mut meta).unwrap();
+        let before = cluster.layout().decode_internal(&buf);
+        let sep = before.entries[before.entries.len() / 2];
+
+        let leaf = client.traverse_to_level(key, 0, &mut meta).unwrap();
+        cluster
+            .cache(0)
+            .set_top_levels(vec![Arc::new(sherman_cache::CachedInternal {
+                addr: root.addr,
+                fence_low: 0,
+                fence_high: u64::MAX,
+                level: root.level,
+                version: 1,
+                leftmost: leaf,
+                children: Vec::new(),
+            })]);
+
+        client
+            .insert_separator_at(sep.key, sep.child, 2, &mut meta)
+            .expect("separator insertion must not livelock on a stale cache route");
+        let buf = client.read_node_consistent(parent, &mut meta).unwrap();
+        assert_eq!(
+            cluster.layout().decode_internal(&buf).entries,
+            before.entries
+        );
+        for k in (0..n).step_by(101) {
+            assert_eq!(client.lookup(k).unwrap().0, Some(k + 1), "key {k}");
         }
     }
 

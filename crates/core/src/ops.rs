@@ -2,8 +2,7 @@
 //!
 //! The split-phase fabric (`sherman_sim`) lets one thread keep many verbs in
 //! flight; to exploit it, the tree operations are expressed as explicit state
-//! machines that **yield** whenever they post a verb instead of blocking on
-//! it:
+//! machines that **yield** whenever they would wait instead of blocking:
 //!
 //! * [`ReadNodeSM`] — the node-image consistency loop (post a node read,
 //!   validate versions/checksum on completion, repost on a torn image),
@@ -11,33 +10,44 @@
 //! * [`LookupSM`] — point lookup: locate the leaf, validate, chase siblings,
 //! * [`RangeSM`] — range scan: the cached parallel leaf batch plus the
 //!   sibling-chain walk with tombstone re-location,
-//! * [`InsertSM`] / [`DeleteSM`] — the write paths: locate the leaf (yielding
-//!   freely, like a lookup), then run the whole lock critical section
-//!   *synchronously* inside one step and yield only on the deferred final
-//!   release verb,
+//! * [`WriteSM`] — insert, update and delete: locate the leaf (yielding
+//!   freely, like a lookup), then take its lock, read it, commit and release
+//!   with a yield at every verb, then run the structural tail, if any,
 //! * [`OpSM`] — the tagged union the pipelined scheduler multiplexes.
 //!
 //! Every `step` call consumes at most one [`Completion`] (the result of the
-//! verb the machine posted last) and runs until it either posts the next verb
-//! ([`Step::Pending`]) or finishes ([`Step::Done`]).  The machines are the
-//! *only* implementation of the operations: the blocking `TreeClient` entry
-//! points drive them one verb at a time ([`drive_blocking`] and its write-path
-//! twin), so a pipelined run at depth 1 and the classic blocking path execute
+//! verb the machine posted last) and runs until it parks ([`Step::Pending`]
+//! with a [`Park`]: a posted verb, a busy local lock, or the tail gate) or
+//! finishes ([`Step::Done`]).  The machines are the *only* implementation of
+//! the operations: the blocking `TreeClient` entry points drive them one
+//! verb at a time ([`drive_blocking`] and its write-path twin), so a
+//! pipelined run at depth 1 and the classic blocking path execute
 //! byte-for-byte the same verbs in the same order.
 //!
-//! ## Lock critical sections never park
+//! ## Lock critical sections yield at every verb
 //!
-//! A write operation must not be suspended while it holds a node lock: the
-//! scheduler multiplexes operations on **one** context, so an op parked on a
-//! lock-holder's context could spin on that very lock (livelock), and its
-//! verbs would interleave into the critical section.  The write machines
-//! therefore treat acquire → locked read → modify → write-back + release as
-//! one atomic segment executed inside a single `step` call; only the *final*
-//! release verb — whose memory effect applies at post time — may remain
-//! outstanding when the step returns ([`WriteCommit::Committed`]).  Between
-//! the acquire and the release post, every verb on the context belongs to the
-//! lock holder by construction (`sherman_sim`'s critical-section trace can
-//! assert this).
+//! A write's critical section is a ladder of parks: wait for the leaf's
+//! local lock (HOCL's FIFO ticket; a handover grant skips the remote step),
+//! the posted CAS on the global lock word, the leaf read under the lock, and
+//! the combined write-back + release, whose memory effect applies at post
+//! time.  While one op waits on any of these, the scheduler steps the
+//! others, so in-flight ops overlap their lock round trips, and an op queued
+//! behind a same-context holder takes the lock by local handover the moment
+//! the holder releases — no remote CAS (Sherman §4.3, Figure 6).  Critical
+//! sections are tracked per op (`ClientCtx::begin_critical` with the lock
+//! word), so the verb trace still tells whose verbs ran under which lock.
+//!
+//! Structural tails — separator insertion after a leaf split (and root
+//! growth), merges and root collapse after an underfull delete — stay
+//! atomic: each runs inside one `step`, with blocking acquires, and starts
+//! holding no lock (the leaf was already released).  A delete's merge first
+//! re-reads the leaf lock-free and is dropped when the leaf was refilled or
+//! merged away meanwhile, or when another op of the context already queued
+//! a merge of it.  Before it starts the
+//! op parks on [`Park::Tail`] until no other op on its context holds a lock
+//! or is acquiring one, and no new acquisition starts meanwhile.  A blocking
+//! acquire inside the tail therefore never CPU-polls a lock held by an op
+//! parked on its own thread, which could never release it.
 //!
 //! Rare control-path reads (the remote root pointer refresh on a distrusted
 //! restart) stay blocking inside a step: they occur only after a lost race
@@ -49,9 +59,10 @@ use crate::client::TreeClient;
 use crate::cluster::Cluster;
 use crate::config::{LeafFormat, OffloadPolicy};
 use crate::error::TreeError;
-use crate::node::{InternalNode, LeafNode};
+use crate::node::{InternalNode, LeafNode, NodeHeader};
 use crate::TreeResult;
 use sherman_cache::{CachedInternal, ChildRef};
+use sherman_locks::{cas_won, LocalTicket, LocalTry};
 use sherman_memserver::ServerLayout;
 use sherman_sim::{
     ClientCtx, Completion, Fabric, FabricBackend, GlobalAddress, PendingVerb, RpcLeafReply,
@@ -88,33 +99,26 @@ pub(crate) struct OpMeta {
     pub cache_hit: bool,
 }
 
-/// What one `step` call produced: either the token of a freshly posted verb
-/// (resume with its completion) or the operation's result.
-pub(crate) enum Step<T> {
-    /// A verb was posted; feed its [`Completion`] to the next `step` call.
-    Pending(PendingVerb),
-    /// The machine finished.
-    Done(T),
+/// What a parked machine waits for before its next `step` call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Park {
+    /// A posted verb: resume with its [`Completion`].
+    Verb(PendingVerb),
+    /// A busy local lock (or the tail gate): resume with no completion once
+    /// the lock may be free.
+    Lock,
+    /// The structural tail: resume with no completion once no other op on
+    /// the context holds or is acquiring a lock.
+    Tail,
 }
 
-/// What one synchronous leaf-commit attempt (the whole lock critical section,
-/// executed inside a single `step` call) produced.
-pub(crate) enum WriteCommit {
-    /// The modification committed.  `found` reports whether the key was
-    /// present (meaningful for deletes).  `release` carries the deferred
-    /// final lock-release verb when the fast path posted it split-phase —
-    /// the machine parks on it as its last yield; `None` means the release
-    /// was already observed inline (lock handover, or a split/merge followed
-    /// and had to run after a polled release).
-    Committed {
-        found: bool,
-        release: Option<PendingVerb>,
-    },
-    /// The locked leaf did not cover the key; the lock was released untouched
-    /// and the operation must retry at `next` (re-locate when `None`).
-    Retry {
-        next: Option<(GlobalAddress, LeafSource)>,
-    },
+/// What one `step` call produced: where the machine parked, or the
+/// operation's result.
+pub(crate) enum Step<T> {
+    /// The machine parked; see [`Park`] for what resumes it.
+    Pending(Park),
+    /// The machine finished.
+    Done(T),
 }
 
 /// The shared-state window a state machine steps against: the cluster plus
@@ -207,7 +211,7 @@ pub(crate) fn next_after_mismatch<B: FabricBackend>(
     cx: &mut OpCx<'_, B>,
     key: u64,
     addr: GlobalAddress,
-    leaf: &LeafNode,
+    header: &NodeHeader,
     source: LeafSource,
 ) -> Option<GlobalAddress> {
     let cache = cx.cluster.cache(cx.cs_id);
@@ -216,12 +220,12 @@ pub(crate) fn next_after_mismatch<B: FabricBackend>(
         LeafSource::TopCache => cache.invalidate_addr(addr),
         LeafSource::Traversal | LeafSource::Sibling => {}
     }
-    if leaf.header.free {
+    if header.free {
         cache.invalidate_addr(addr);
         return None;
     }
-    if key >= leaf.header.fence_high {
-        if let Some(sib) = leaf.header.sibling {
+    if key >= header.fence_high {
+        if let Some(sib) = header.sibling {
             return Some(sib);
         }
     }
@@ -262,7 +266,8 @@ pub(crate) fn drive_blocking<B: FabricBackend, T>(
     let mut completion = None;
     loop {
         match step(cx, meta, completion.take())? {
-            Step::Pending(token) => completion = Some(cx.ctx.poll_token(token)),
+            Step::Pending(Park::Verb(token)) => completion = Some(cx.ctx.poll_token(token)),
+            Step::Pending(park) => unreachable!("lock-free machines never park on {park:?}"),
             Step::Done(value) => return Ok(value),
         }
     }
@@ -406,7 +411,7 @@ impl OffloadSM {
             debug_assert!(!self.posted, "an offload attempt posts exactly one RPC");
             self.posted = true;
             let token = cx.ctx.post_index_rpc(&self.req)?;
-            return Ok(Step::Pending(token));
+            return Ok(Step::Pending(Park::Verb(token)));
         };
         // Feed the observed round trip — queueing at the home server's wimpy
         // core included — back into the placement estimator.
@@ -503,7 +508,7 @@ impl ReadNodeSM {
         }
         self.attempts_left -= 1;
         let token = cx.ctx.post_read(self.addr, node_size)?;
-        Ok(Step::Pending(token))
+        Ok(Step::Pending(Park::Verb(token)))
     }
 }
 
@@ -605,6 +610,13 @@ impl TraverseSM {
         Ok(None)
     }
 
+    /// Forget the current attempt so the next `step` starts a new one — with
+    /// the shortcut distrust a failed first attempt earned.  Callers that
+    /// retry after rejecting the result reuse the machine this way.
+    pub(crate) fn restart(&mut self) {
+        self.attempt = None;
+    }
+
     /// Whether the address the traversal finished on came straight out of
     /// the type-❷ cache — the shortcut bottomed out at `target_level`
     /// without reading a node, so the caller must treat the address as
@@ -645,7 +657,7 @@ impl TraverseSM {
                 .read
                 .get_or_insert_with(|| ReadNodeSM::new(cx, addr));
             match read.step(cx, meta, completion.take())? {
-                Step::Pending(token) => return Ok(Step::Pending(token)),
+                Step::Pending(park) => return Ok(Step::Pending(park)),
                 Step::Done(buf) => {
                     attempt.read = None;
                     let node = cx.cluster.layout().decode_internal(&buf);
@@ -823,7 +835,7 @@ impl LookupSM {
                 LookupPhase::Offload { sm, fallback } => {
                     let fallback = *fallback;
                     match sm.step(cx, completion.take())? {
-                        Step::Pending(token) => return Ok(Step::Pending(token)),
+                        Step::Pending(park) => return Ok(Step::Pending(park)),
                         Step::Done(OffloadOutcome::Leaf(reply)) => {
                             let counters = cx.cluster.offload_counters(cx.cs_id);
                             if reply.chase_sibling {
@@ -857,7 +869,7 @@ impl LookupSM {
                     }
                 }
                 LookupPhase::Locate(sm) => match sm.step(cx, meta, completion.take())? {
-                    Step::Pending(token) => return Ok(Step::Pending(token)),
+                    Step::Pending(park) => return Ok(Step::Pending(park)),
                     Step::Done(addr) => {
                         let source = if sm.route_from_cache() {
                             LeafSource::TopCache
@@ -873,7 +885,7 @@ impl LookupSM {
                     reads_left,
                     read,
                 } => match read.step(cx, meta, completion.take())? {
-                    Step::Pending(token) => return Ok(Step::Pending(token)),
+                    Step::Pending(park) => return Ok(Step::Pending(park)),
                     Step::Done(buf) => {
                         let leaf = cx.cluster.layout().decode_leaf(&buf);
                         if leaf.header.free || !leaf.header.is_leaf || !leaf.header.covers(self.key)
@@ -889,8 +901,9 @@ impl LookupSM {
                                 // its invalidation is still in flight.
                                 cx.cluster.coherence_counters().record_stale_hit();
                             }
-                            self.pending = next_after_mismatch(cx, self.key, addr, &leaf, source)
-                                .map(|a| (a, LeafSource::Sibling));
+                            self.pending =
+                                next_after_mismatch(cx, self.key, addr, &leaf.header, source)
+                                    .map(|a| (a, LeafSource::Sibling));
                             self.phase = LookupPhase::Restart;
                             continue;
                         }
@@ -1088,7 +1101,7 @@ impl RangeSM {
                                 .collect();
                             let token = cx.ctx.post_read_batch(&reqs)?;
                             self.phase = RangePhase::Batch { addrs };
-                            return Ok(Step::Pending(token));
+                            return Ok(Step::Pending(Park::Verb(token)));
                         }
                     }
                     if !self.offload_done {
@@ -1108,7 +1121,7 @@ impl RangeSM {
                     self.phase = RangePhase::SeekStart;
                 }
                 RangePhase::Offload(sm) => match sm.step(cx, completion.take())? {
-                    Step::Pending(token) => return Ok(Step::Pending(token)),
+                    Step::Pending(park) => return Ok(Step::Pending(park)),
                     Step::Done(OffloadOutcome::Range(reply)) => {
                         cx.cluster.offload_counters(cx.cs_id).record_win();
                         // Every returned leaf passed the tombstone floor;
@@ -1153,14 +1166,14 @@ impl RangeSM {
                     if let Some(mut sm) = repair.take() {
                         // Torn image: this leaf is being re-read individually.
                         match sm.step(cx, meta, completion.take())? {
-                            Step::Pending(token) => {
+                            Step::Pending(park) => {
                                 self.phase = RangePhase::BatchScan {
                                     addrs,
                                     bufs,
                                     idx,
                                     repair: Some(sm),
                                 };
-                                return Ok(Step::Pending(token));
+                                return Ok(Step::Pending(park));
                             }
                             Step::Done(fresh) => {
                                 let addr = addrs[idx];
@@ -1226,7 +1239,7 @@ impl RangeSM {
                 RangePhase::Locate { sm, forget_visit } => {
                     let forget = *forget_visit;
                     match sm.step(cx, meta, completion.take())? {
-                        Step::Pending(token) => return Ok(Step::Pending(token)),
+                        Step::Pending(park) => return Ok(Step::Pending(park)),
                         Step::Done(addr) => {
                             if forget {
                                 self.visited.remove(&addr.pack());
@@ -1253,7 +1266,7 @@ impl RangeSM {
                     };
                 }
                 RangePhase::Chain { read } => match read.step(cx, meta, completion.take())? {
-                    Step::Pending(token) => return Ok(Step::Pending(token)),
+                    Step::Pending(park) => return Ok(Step::Pending(park)),
                     Step::Done(buf) => {
                         let addr = read.addr;
                         let leaf = layout.decode_leaf(&buf);
@@ -1295,10 +1308,42 @@ impl RangeSM {
 // Write paths: insert and delete
 // ----------------------------------------------------------------------
 
-/// The common phase ladder of the write machines.  Location yields freely
-/// (it is the same lock-free descent a lookup uses); the commit runs the
-/// whole critical section synchronously and at most leaves the deferred
-/// release verb outstanding.
+/// Which write a [`WriteSM`] performs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WriteKind {
+    /// Insert (or update) the key with `value`.
+    Insert { value: u64 },
+    /// Delete the key.
+    Delete,
+}
+
+/// The structural follow-up of a committed leaf write.  It runs once the
+/// leaf's release completed, holding no lock when it starts, as one atomic
+/// segment (see the module docs).
+pub(crate) enum Tail {
+    /// A leaf split: insert `key → child` into level 1 (and grow upward).
+    Separator { key: u64, child: GlobalAddress },
+    /// A delete left the leaf at `addr` underfull: merge or rebalance it
+    /// (re-read, since other ops may have changed it meanwhile).
+    Merge { addr: GlobalAddress },
+}
+
+/// What a leaf commit decided, given the locked leaf image.  The leaf lock
+/// is released either way; the release verb travels next to this value.
+pub(crate) enum WriteCommit {
+    /// The modification committed.  `found` reports whether the key was
+    /// present (meaningful for deletes); `tail` is the structural follow-up,
+    /// if any.
+    Committed { found: bool, tail: Option<Tail> },
+    /// The locked leaf did not cover the key; it was released untouched and
+    /// the operation must retry at `next` (re-locate when `None`).
+    Retry {
+        next: Option<(GlobalAddress, LeafSource)>,
+    },
+}
+
+/// The phase ladder of the write machine.  Every phase that waits parks:
+/// on a verb, on the leaf's local lock, or before the structural tail.
 enum WritePhase {
     /// Decide where to commit next (consume `pending`, consult the cache, or
     /// start a traversal).
@@ -1308,162 +1353,51 @@ enum WritePhase {
     /// lock-free location phase offloads — the lock critical section always
     /// runs client-side under the usual HOCL rules.
     Offload(OffloadSM),
-    Commit {
+    /// Waiting for the leaf's local lock (held by another op, or the tail
+    /// gate is closed).
+    LockWait {
         addr: GlobalAddress,
         source: LeafSource,
+        ticket: LocalTicket,
     },
-    /// The deferred final release verb is in flight; its completion finishes
-    /// the operation (the memory effect already applied at post time).
-    AwaitRelease,
+    /// The remote acquisition is in flight; the local lock is held.
+    Acquire {
+        addr: GlobalAddress,
+        source: LeafSource,
+        ticket: LocalTicket,
+        cas: PendingVerb,
+    },
+    /// The leaf read under the lock is in flight.
+    LockedRead {
+        addr: GlobalAddress,
+        source: LeafSource,
+        read: PendingVerb,
+    },
+    /// The final write-back + release verb is in flight (its memory effect
+    /// applied at post time); `commit` says what follows its completion.
+    AwaitRelease {
+        commit: WriteCommit,
+    },
+    /// A lock-free re-read of the underfull leaf is in flight: only a leaf
+    /// still underfull is worth closing the tail gate for.
+    MergeCheck {
+        addr: GlobalAddress,
+    },
+    /// Waiting to run the structural tail atomically.
+    TailWait(Tail),
 }
 
-/// Insert (or update) as a resumable machine: locate the leaf → one
-/// synchronous locked commit ([`TreeClient::insert_commit`]) → park on the
-/// deferred release.  Splits run to completion inside the commit step.
-pub(crate) struct InsertSM {
+/// Insert, update or delete as a resumable machine: locate the leaf (the
+/// lock-free descent a lookup uses) → take its lock (local try, then a
+/// posted CAS) → read it under the lock → commit and post the combined
+/// write-back + release → park on the release → run the structural tail,
+/// if any.  Every step that waits yields, so other ops on the context keep
+/// moving — and take the lock by local handover — while this one holds it.
+pub(crate) struct WriteSM {
     key: u64,
-    value: u64,
-    restarts_left: u32,
-    pending: Option<(GlobalAddress, LeafSource)>,
-    /// One-shot: a write offloads its location at most once (see
-    /// [`LookupSM`]).
-    offload_done: bool,
-    phase: WritePhase,
-}
-
-impl InsertSM {
-    pub(crate) fn new<B: FabricBackend>(cx: &OpCx<'_, B>, key: u64, value: u64) -> Self {
-        InsertSM {
-            key,
-            value,
-            restarts_left: cx.cluster.config().max_restarts,
-            pending: None,
-            offload_done: false,
-            phase: WritePhase::Restart,
-        }
-    }
-
-    pub(crate) fn step<B: FabricBackend>(
-        &mut self,
-        client: &mut TreeClient<B>,
-        meta: &mut OpMeta,
-        mut completion: Option<Completion>,
-    ) -> TreeResult<Step<()>> {
-        loop {
-            match &mut self.phase {
-                WritePhase::Restart => {
-                    if self.restarts_left == 0 {
-                        return Err(TreeError::RetriesExhausted {
-                            context: "insert",
-                            attempts: client.cluster.config().max_restarts,
-                        });
-                    }
-                    let spent = client.cluster.config().max_restarts - self.restarts_left;
-                    if spent > 0 {
-                        client.ctx.contention_backoff(spent);
-                    }
-                    self.restarts_left -= 1;
-                    if let Some((addr, source)) = self.pending.take() {
-                        self.phase = WritePhase::Commit { addr, source };
-                        continue;
-                    }
-                    let mut cx = client.op_cx();
-                    if !self.offload_done && cx.cluster.options().offload.may_offload() {
-                        // Apply in-flight invalidations before the cache
-                        // consult and the placement decision below.
-                        cx.drain_coherence();
-                    }
-                    match locate_start(&mut cx, meta, self.key) {
-                        LocateStart::Cached(addr, source) => {
-                            self.phase = WritePhase::Commit { addr, source };
-                        }
-                        LocateStart::Traverse(sm) => {
-                            if !self.offload_done {
-                                if let Some(req) = offload_traverse_request(&mut cx, self.key) {
-                                    self.offload_done = true;
-                                    self.phase = WritePhase::Offload(OffloadSM::new(req));
-                                    continue;
-                                }
-                            }
-                            self.phase = WritePhase::Locate(sm);
-                        }
-                    }
-                }
-                WritePhase::Locate(sm) => {
-                    let mut cx = client.op_cx();
-                    match sm.step(&mut cx, meta, completion.take())? {
-                        Step::Pending(token) => return Ok(Step::Pending(token)),
-                        Step::Done(addr) => {
-                            let source = if sm.route_from_cache() {
-                                LeafSource::TopCache
-                            } else {
-                                LeafSource::Traversal
-                            };
-                            self.phase = WritePhase::Commit { addr, source };
-                        }
-                    }
-                }
-                WritePhase::Offload(sm) => {
-                    let mut cx = client.op_cx();
-                    match sm.step(&mut cx, completion.take())? {
-                        Step::Pending(token) => return Ok(Step::Pending(token)),
-                        Step::Done(OffloadOutcome::Leaf(reply)) => {
-                            cx.cluster.offload_counters(cx.cs_id).record_win();
-                            if reply.chase_sibling {
-                                self.pending =
-                                    reply.leaf.sibling.map(|s| (s, LeafSource::Sibling));
-                                self.phase = WritePhase::Restart;
-                            } else {
-                                self.phase = WritePhase::Commit {
-                                    addr: reply.leaf.addr,
-                                    source: LeafSource::Traversal,
-                                };
-                            }
-                        }
-                        Step::Done(_) => {
-                            cx.cluster.offload_counters(cx.cs_id).record_loss();
-                            self.phase = WritePhase::Restart;
-                        }
-                    }
-                }
-                WritePhase::Commit { addr, source } => {
-                    let (addr, source) = (*addr, *source);
-                    match client.insert_commit(addr, source, self.key, self.value, meta)? {
-                        WriteCommit::Committed {
-                            release: Some(token),
-                            ..
-                        } => {
-                            self.phase = WritePhase::AwaitRelease;
-                            return Ok(Step::Pending(token));
-                        }
-                        WriteCommit::Committed { release: None, .. } => {
-                            return Ok(Step::Done(()));
-                        }
-                        WriteCommit::Retry { next } => {
-                            self.pending = next;
-                            self.phase = WritePhase::Restart;
-                        }
-                    }
-                }
-                WritePhase::AwaitRelease => {
-                    debug_assert!(
-                        completion.take().is_some(),
-                        "AwaitRelease resumes on the release completion"
-                    );
-                    return Ok(Step::Done(()));
-                }
-            }
-        }
-    }
-}
-
-/// Delete as a resumable machine, same shape as [`InsertSM`]; structural
-/// merges (when enabled and triggered) run to completion inside the commit
-/// step, after the leaf release was polled inline.
-pub(crate) struct DeleteSM {
-    key: u64,
-    /// Whether the key was present, recorded at commit time (the machine may
-    /// still park on the deferred release afterwards).
+    kind: WriteKind,
+    /// Whether the key was present, recorded at commit time (the machine
+    /// may still park on the release or the tail afterwards).
     found: bool,
     restarts_left: u32,
     pending: Option<(GlobalAddress, LeafSource)>,
@@ -1473,16 +1407,93 @@ pub(crate) struct DeleteSM {
     phase: WritePhase,
 }
 
-impl DeleteSM {
-    pub(crate) fn new<B: FabricBackend>(cx: &OpCx<'_, B>, key: u64) -> Self {
-        DeleteSM {
+impl WriteSM {
+    pub(crate) fn new<B: FabricBackend>(cx: &OpCx<'_, B>, key: u64, kind: WriteKind) -> Self {
+        WriteSM {
             key,
+            kind,
             found: false,
             restarts_left: cx.cluster.config().max_restarts,
             pending: None,
             offload_done: false,
             phase: WritePhase::Restart,
         }
+    }
+
+    /// The output this write reports (the key's presence for deletes).
+    pub(crate) fn output(&self, found: bool) -> OpOutput {
+        match self.kind {
+            WriteKind::Insert { .. } => OpOutput::Insert,
+            WriteKind::Delete => OpOutput::Delete(found),
+        }
+    }
+
+    fn lock_wait(addr: GlobalAddress, source: LeafSource) -> WritePhase {
+        WritePhase::LockWait {
+            addr,
+            source,
+            ticket: LocalTicket::default(),
+        }
+    }
+
+    /// Whether the op holds a lock or has started acquiring one (joined a
+    /// local queue, holds the local lock, or has a CAS in flight).  A
+    /// structural tail on the same context waits until no other op is.
+    pub(crate) fn engaged(&self) -> bool {
+        match &self.phase {
+            WritePhase::LockWait { ticket, .. } => ticket.enqueued(),
+            WritePhase::Acquire { .. } | WritePhase::LockedRead { .. } => true,
+            _ => false,
+        }
+    }
+
+    /// Whether the op waits on a local lock it cannot take yet (held, or
+    /// another waiter is ahead), so stepping it now cannot succeed.
+    pub(crate) fn lock_blocked(&self) -> bool {
+        matches!(&self.phase, WritePhase::LockWait { ticket, .. } if ticket.blocked())
+    }
+
+    /// Finish a commit whose release completed (or needed no verb).
+    fn after_release<B: FabricBackend>(
+        &mut self,
+        client: &mut TreeClient<B>,
+        commit: WriteCommit,
+    ) -> TreeResult<Option<Step<bool>>> {
+        Ok(match commit {
+            WriteCommit::Committed { found, tail: None } => Some(Step::Done(found)),
+            // Another delete on this context already queued a merge of the
+            // same leaf, which re-reads it under its locks: a second attempt
+            // would only find the work done.
+            WriteCommit::Committed {
+                found,
+                tail: Some(Tail::Merge { addr }),
+            } if client.merge_tails.contains(&addr) => Some(Step::Done(found)),
+            WriteCommit::Committed {
+                found,
+                tail: Some(Tail::Merge { addr }),
+            } => {
+                client.merge_tails.push(addr);
+                self.found = found;
+                let read = client
+                    .ctx
+                    .post_read(addr, client.cluster.layout().node_size())?;
+                self.phase = WritePhase::MergeCheck { addr };
+                Some(Step::Pending(Park::Verb(read)))
+            }
+            WriteCommit::Committed {
+                found,
+                tail: Some(tail),
+            } => {
+                self.found = found;
+                self.phase = WritePhase::TailWait(tail);
+                Some(Step::Pending(Park::Tail))
+            }
+            WriteCommit::Retry { next } => {
+                self.pending = next;
+                self.phase = WritePhase::Restart;
+                None
+            }
+        })
     }
 
     pub(crate) fn step<B: FabricBackend>(
@@ -1496,7 +1507,10 @@ impl DeleteSM {
                 WritePhase::Restart => {
                     if self.restarts_left == 0 {
                         return Err(TreeError::RetriesExhausted {
-                            context: "delete",
+                            context: match self.kind {
+                                WriteKind::Insert { .. } => "insert",
+                                WriteKind::Delete => "delete",
+                            },
                             attempts: client.cluster.config().max_restarts,
                         });
                     }
@@ -1506,7 +1520,7 @@ impl DeleteSM {
                     }
                     self.restarts_left -= 1;
                     if let Some((addr, source)) = self.pending.take() {
-                        self.phase = WritePhase::Commit { addr, source };
+                        self.phase = Self::lock_wait(addr, source);
                         continue;
                     }
                     let mut cx = client.op_cx();
@@ -1517,7 +1531,7 @@ impl DeleteSM {
                     }
                     match locate_start(&mut cx, meta, self.key) {
                         LocateStart::Cached(addr, source) => {
-                            self.phase = WritePhase::Commit { addr, source };
+                            self.phase = Self::lock_wait(addr, source);
                         }
                         LocateStart::Traverse(sm) => {
                             if !self.offload_done {
@@ -1534,21 +1548,21 @@ impl DeleteSM {
                 WritePhase::Locate(sm) => {
                     let mut cx = client.op_cx();
                     match sm.step(&mut cx, meta, completion.take())? {
-                        Step::Pending(token) => return Ok(Step::Pending(token)),
+                        Step::Pending(park) => return Ok(Step::Pending(park)),
                         Step::Done(addr) => {
                             let source = if sm.route_from_cache() {
                                 LeafSource::TopCache
                             } else {
                                 LeafSource::Traversal
                             };
-                            self.phase = WritePhase::Commit { addr, source };
+                            self.phase = Self::lock_wait(addr, source);
                         }
                     }
                 }
                 WritePhase::Offload(sm) => {
                     let mut cx = client.op_cx();
                     match sm.step(&mut cx, completion.take())? {
-                        Step::Pending(token) => return Ok(Step::Pending(token)),
+                        Step::Pending(park) => return Ok(Step::Pending(park)),
                         Step::Done(OffloadOutcome::Leaf(reply)) => {
                             cx.cluster.offload_counters(cx.cs_id).record_win();
                             if reply.chase_sibling {
@@ -1556,10 +1570,8 @@ impl DeleteSM {
                                     reply.leaf.sibling.map(|s| (s, LeafSource::Sibling));
                                 self.phase = WritePhase::Restart;
                             } else {
-                                self.phase = WritePhase::Commit {
-                                    addr: reply.leaf.addr,
-                                    source: LeafSource::Traversal,
-                                };
+                                self.phase =
+                                    Self::lock_wait(reply.leaf.addr, LeafSource::Traversal);
                             }
                         }
                         Step::Done(_) => {
@@ -1568,38 +1580,168 @@ impl DeleteSM {
                         }
                     }
                 }
-                WritePhase::Commit { addr, source } => {
+                WritePhase::LockWait {
+                    addr,
+                    source,
+                    ticket,
+                } => {
                     let (addr, source) = (*addr, *source);
-                    match client.delete_commit(addr, source, self.key, meta)? {
-                        WriteCommit::Committed {
-                            found,
-                            release: Some(token),
-                        } => {
-                            self.found = found;
-                            self.phase = WritePhase::AwaitRelease;
-                            return Ok(Step::Pending(token));
+                    if client.lock_gate && !ticket.enqueued() {
+                        // A structural tail waits for this context's locks
+                        // to drain: start no new acquisition meanwhile.
+                        return Ok(Step::Pending(Park::Lock));
+                    }
+                    let local =
+                        client
+                            .cluster
+                            .lock_manager()
+                            .try_lock_local(client.cs_id, addr, ticket);
+                    match local {
+                        LocalTry::Wait => return Ok(Step::Pending(Park::Lock)),
+                        LocalTry::Acquired { handed_over: true } => {
+                            meta.handed_over = true;
+                            let read = client.read_locked_leaf(addr)?;
+                            self.phase = WritePhase::LockedRead { addr, source, read };
+                            return Ok(Step::Pending(Park::Verb(read)));
                         }
-                        WriteCommit::Committed {
-                            found,
-                            release: None,
-                        } => {
-                            return Ok(Step::Done(found));
-                        }
-                        WriteCommit::Retry { next } => {
-                            self.pending = next;
-                            self.phase = WritePhase::Restart;
+                        LocalTry::Acquired { handed_over: false } => {
+                            let ticket = std::mem::take(ticket);
+                            let mgr = Arc::clone(client.cluster.lock_manager());
+                            let cas = mgr.post_lock_remote(&mut client.ctx, addr)?;
+                            self.phase = WritePhase::Acquire {
+                                addr,
+                                source,
+                                ticket,
+                                cas,
+                            };
+                            return Ok(Step::Pending(Park::Verb(cas)));
                         }
                     }
                 }
-                WritePhase::AwaitRelease => {
+                WritePhase::Acquire {
+                    addr, source, cas, ..
+                } => {
+                    let c = completion
+                        .take()
+                        .expect("Acquire resumes on the CAS completion");
+                    let (addr, source) = (*addr, *source);
+                    if cas_won(&c) {
+                        let read = client.read_locked_leaf(addr)?;
+                        self.phase = WritePhase::LockedRead { addr, source, read };
+                        return Ok(Step::Pending(Park::Verb(read)));
+                    }
+                    // Lost the remote race (every failed attempt is a
+                    // wasted round trip and NIC atomic): try again.
+                    meta.lock_retries += 1;
+                    client.ctx.note_retries(1);
+                    let mgr = Arc::clone(client.cluster.lock_manager());
+                    *cas = mgr.post_lock_remote(&mut client.ctx, addr)?;
+                    return Ok(Step::Pending(Park::Verb(*cas)));
+                }
+                WritePhase::LockedRead { addr, source, .. } => {
+                    let c = completion
+                        .take()
+                        .expect("LockedRead resumes on the read completion");
+                    let (addr, source) = (*addr, *source);
+                    let buf = c.result.into_read();
+                    client.ctx.charge_scan(buf.len());
+                    let (commit, release) = match self.kind {
+                        WriteKind::Insert { value } => {
+                            client.insert_commit(addr, source, self.key, value, &buf)?
+                        }
+                        WriteKind::Delete => client.delete_commit(addr, source, self.key, &buf)?,
+                    };
+                    match release {
+                        Some(token) => {
+                            self.phase = WritePhase::AwaitRelease { commit };
+                            return Ok(Step::Pending(Park::Verb(token)));
+                        }
+                        None => {
+                            if let Some(step) = self.after_release(client, commit)? {
+                                return Ok(step);
+                            }
+                        }
+                    }
+                }
+                WritePhase::AwaitRelease { .. } => {
+                    // Consume the release completion: a retry must not hand
+                    // it to the next phase's machine.
+                    let release = completion.take();
                     debug_assert!(
-                        completion.take().is_some(),
+                        release.is_some(),
                         "AwaitRelease resumes on the release completion"
                     );
+                    let WritePhase::AwaitRelease { commit } =
+                        std::mem::replace(&mut self.phase, WritePhase::Restart)
+                    else {
+                        unreachable!("phase checked above");
+                    };
+                    if let Some(step) = self.after_release(client, commit)? {
+                        return Ok(step);
+                    }
+                }
+                WritePhase::MergeCheck { addr } => {
+                    let addr = *addr;
+                    let c = completion
+                        .take()
+                        .expect("MergeCheck resumes on the read completion");
+                    if !client.merge_wanted(&c.result.into_read()) {
+                        // Merged away or refilled meanwhile: nothing to do.
+                        client.merge_tails.retain(|&a| a != addr);
+                        return Ok(Step::Done(self.found));
+                    }
+                    self.phase = WritePhase::TailWait(Tail::Merge { addr });
+                    return Ok(Step::Pending(Park::Tail));
+                }
+                WritePhase::TailWait(_) => {
+                    let WritePhase::TailWait(tail) =
+                        std::mem::replace(&mut self.phase, WritePhase::Restart)
+                    else {
+                        unreachable!("phase checked above");
+                    };
+                    client.run_tail(tail, meta)?;
                     return Ok(Step::Done(self.found));
                 }
             }
         }
+    }
+
+    /// Give back whatever lock this op holds or is acquiring, blocking —
+    /// the error path of a pipelined run that failed in another op.
+    pub(crate) fn abandon<B: FabricBackend>(
+        &mut self,
+        client: &mut TreeClient<B>,
+    ) -> TreeResult<()> {
+        let mgr = Arc::clone(client.cluster.lock_manager());
+        let cs = client.cs_id;
+        let held = match std::mem::replace(&mut self.phase, WritePhase::Restart) {
+            WritePhase::LockWait {
+                addr, mut ticket, ..
+            } => mgr.cancel_local(cs, addr, &mut ticket).then_some(addr),
+            WritePhase::Acquire {
+                addr,
+                mut ticket,
+                cas,
+                ..
+            } => {
+                if cas_won(&client.ctx.poll_token(cas)) {
+                    Some(addr)
+                } else {
+                    mgr.cancel_local(cs, addr, &mut ticket);
+                    None
+                }
+            }
+            WritePhase::LockedRead { addr, read, .. } => {
+                client.ctx.poll_token(read);
+                Some(addr)
+            }
+            _ => None,
+        };
+        if let Some(addr) = held {
+            let combine = client.cluster.options().combine_commands;
+            mgr.release(&mut client.ctx, addr, Vec::new(), combine)?;
+        }
+        Ok(())
     }
 }
 
@@ -1611,8 +1753,7 @@ impl DeleteSM {
 pub(crate) enum OpSM {
     Lookup(LookupSM),
     Range(RangeSM),
-    Insert(InsertSM),
-    Delete(DeleteSM),
+    Write(WriteSM),
 }
 
 /// One operation's result.
@@ -1635,29 +1776,41 @@ impl OpSM {
         meta: &mut OpMeta,
         completion: Option<Completion>,
     ) -> TreeResult<Step<OpOutput>> {
+        Ok(match self {
+            OpSM::Lookup(sm) => match sm.step(&mut client.op_cx(), meta, completion)? {
+                Step::Pending(park) => Step::Pending(park),
+                Step::Done(v) => Step::Done(OpOutput::Lookup(v)),
+            },
+            OpSM::Range(sm) => match sm.step(&mut client.op_cx(), meta, completion)? {
+                Step::Pending(park) => Step::Pending(park),
+                Step::Done(v) => Step::Done(OpOutput::Range(v)),
+            },
+            OpSM::Write(sm) => match sm.step(client, meta, completion)? {
+                Step::Pending(park) => Step::Pending(park),
+                Step::Done(found) => Step::Done(sm.output(found)),
+            },
+        })
+    }
+
+    /// Whether the op holds or is acquiring a lock (see [`WriteSM::engaged`]).
+    pub(crate) fn engaged(&self) -> bool {
+        matches!(self, OpSM::Write(sm) if sm.engaged())
+    }
+
+    /// Whether the op waits on a local lock it cannot take yet (see
+    /// [`WriteSM::lock_blocked`]).
+    pub(crate) fn lock_blocked(&self) -> bool {
+        matches!(self, OpSM::Write(sm) if sm.lock_blocked())
+    }
+
+    /// Give back the op's lock state after its run failed elsewhere.
+    pub(crate) fn abandon<B: FabricBackend>(
+        &mut self,
+        client: &mut TreeClient<B>,
+    ) -> TreeResult<()> {
         match self {
-            OpSM::Lookup(sm) => {
-                let mut cx = client.op_cx();
-                Ok(match sm.step(&mut cx, meta, completion)? {
-                    Step::Pending(t) => Step::Pending(t),
-                    Step::Done(v) => Step::Done(OpOutput::Lookup(v)),
-                })
-            }
-            OpSM::Range(sm) => {
-                let mut cx = client.op_cx();
-                Ok(match sm.step(&mut cx, meta, completion)? {
-                    Step::Pending(t) => Step::Pending(t),
-                    Step::Done(v) => Step::Done(OpOutput::Range(v)),
-                })
-            }
-            OpSM::Insert(sm) => Ok(match sm.step(client, meta, completion)? {
-                Step::Pending(t) => Step::Pending(t),
-                Step::Done(()) => Step::Done(OpOutput::Insert),
-            }),
-            OpSM::Delete(sm) => Ok(match sm.step(client, meta, completion)? {
-                Step::Pending(t) => Step::Pending(t),
-                Step::Done(found) => Step::Done(OpOutput::Delete(found)),
-            }),
+            OpSM::Write(sm) => sm.abandon(client),
+            _ => Ok(()),
         }
     }
 }

@@ -19,20 +19,35 @@
 //! poll it) — the equivalence the `pipelined_equivalence` and
 //! `write_pipelining` suites pin down.
 //!
-//! ## Writes pipeline too — with atomic critical sections
+//! ## Writes pipeline too — critical sections yield at every verb
 //!
-//! Inserts and deletes join the pipeline: their *location* phase is the same
-//! lock-free descent a lookup uses and overlaps freely with every other
-//! in-flight operation.  Their lock critical section, however, is executed
-//! atomically inside a single state-machine step (see `ops`): between the
-//! lock acquire and the release post no other operation is stepped, so no
-//! foreign verb can interleave into the critical section on this context —
-//! and no operation is ever parked while holding a lock (which could
-//! otherwise livelock the single thread against its own lock).  On the fast
-//! path only the combined write-back + release verb remains outstanding when
-//! the step returns; its memory effect applied at post time, so other
-//! operations resume immediately while the release completion is still in
-//! flight (DEX-style lock-conscious pipelining).
+//! Inserts and deletes join the pipeline end to end.  Their location phase
+//! is the same lock-free descent a lookup uses; their lock critical section
+//! parks at every wait (see `ops`): on the leaf's local lock, on the posted
+//! CAS, on the locked read and on the combined write-back + release.  So
+//! while one op waits for its lock round trip the others keep posting, and
+//! ops queued on a lock held by another op of this context get it by HOCL
+//! handover instead of a fresh remote CAS.
+//!
+//! A slot therefore parks on one of three things (`ops::Park`):
+//!
+//! * a posted verb — resumed by its completion, the earliest first;
+//! * a local lock — resumed without a completion.  Between two polls the
+//!   scheduler retries every lock-parked slot that may now take its lock
+//!   (free, and first in its FIFO queue), so a release steps the waiter it
+//!   granted the lock to before the next poll.  When every live slot
+//!   waits on a lock whose holder runs on another thread (no verb is
+//!   outstanding), the scheduler charges the lock manager's poll interval,
+//!   as HOCL's blocking acquire does;
+//! * the structural tail — resumed once no other slot holds or is acquiring
+//!   a lock.  While a tail waits, the scheduler closes the lock gate
+//!   (`TreeClient::lock_gate`) so no new acquisition starts; the tail then
+//!   runs atomically inside one step and can never spin on a lock held by
+//!   an op parked on this very thread.
+//!
+//! If a run fails, every other in-flight op gives back the lock it holds or
+//! is acquiring before the error surfaces, so the next run (or another
+//! thread) never waits on an orphaned lock.
 //!
 //! ## Attributing completions to operations
 //!
@@ -45,16 +60,16 @@
 //! advancing *other* operations (the bug the untagged wall-clock measurement
 //! had).
 //!
-//! The driver is single-threaded and deterministic: two runs over the same
-//! cluster state, operation feed and depth execute the same verbs in the
-//! same order and report identical virtual-time totals.
+//! The driver is single-threaded and deterministic: two single-client runs
+//! over the same cluster state, operation feed and depth execute the same
+//! verbs in the same order and report identical virtual-time totals.
 
 use crate::client::TreeClient;
-use crate::ops::{DeleteSM, InsertSM, LookupSM, OpMeta, OpOutput, OpSM, RangeSM, Step};
+use crate::ops::{LookupSM, OpMeta, OpOutput, OpSM, Park, RangeSM, Step, WriteKind, WriteSM};
 use crate::TreeResult;
 use sherman_memserver::EpochPin;
 use sherman_metrics::OverlapGauges;
-use sherman_sim::{ClientStats, Completion, FabricBackend, PendingVerb};
+use sherman_sim::{ClientStats, Completion, FabricBackend};
 
 /// One operation for the pipelined driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,8 +164,8 @@ pub fn overlap_from_stats(stats: &ClientStats, elapsed_ns: u64) -> OverlapGauges
     }
 }
 
-/// One in-flight operation: its machine, bookkeeping, and the token of the
-/// verb it is waiting on (`None` only transiently, between steps).
+/// One in-flight operation: its machine, bookkeeping, and what it is parked
+/// on.
 struct Slot {
     /// Scheduler-assigned operation id; every verb the op posts carries it,
     /// which is how the shared completion queue attributes completions.
@@ -158,13 +173,208 @@ struct Slot {
     op: PipelineOp,
     sm: OpSM,
     meta: OpMeta,
-    /// Token of the verb this operation is parked on (`None` only while the
-    /// slot is being stepped).
-    waiting_on: Option<PendingVerb>,
+    /// What the operation waits for (`None` only while it is being stepped).
+    park: Option<Park>,
     /// Pins the reclamation epoch for this operation's whole lifetime, like
     /// the blocking entry points do.  Pins on one reader handle nest, so N
     /// concurrent operations hold the oldest epoch — conservative and safe.
     _pin: EpochPin,
+}
+
+/// The state of one `run_pipelined` call: the feed, the slots and the
+/// results so far.
+struct Run<F> {
+    feed: F,
+    slots: Vec<Option<Slot>>,
+    results: Vec<PipelinedResult>,
+    next_id: u64,
+}
+
+/// A failure inside a run: the slot whose step failed, and the error.
+type Failure = (usize, crate::TreeError);
+
+impl<F: Iterator<Item = PipelineOp>> Run<F> {
+    fn parked(&self, idx: usize) -> Option<Park> {
+        self.slots[idx].as_ref().and_then(|s| s.park)
+    }
+
+    /// Whether a slot other than `idx` satisfies `pred`.
+    fn others(&self, idx: usize, pred: impl Fn(&Slot) -> bool) -> bool {
+        self.slots
+            .iter()
+            .enumerate()
+            .any(|(j, s)| j != idx && s.as_ref().is_some_and(&pred))
+    }
+
+    /// Drive slot `idx` until it parks or the feed runs dry: a completed
+    /// slot immediately pulls the next operation from the feed.
+    fn advance<B: FabricBackend>(
+        &mut self,
+        client: &mut TreeClient<B>,
+        idx: usize,
+        mut completion: Option<Completion>,
+    ) -> Result<(), Failure> {
+        // A tail parked in another slot closes the gate for this one.
+        client.lock_gate = self.others(idx, |s| s.park == Some(Park::Tail));
+        loop {
+            let Some(active) = self.slots[idx].as_mut() else {
+                // Park an empty slot on the next operation of the feed.
+                let Some(op) = self.feed.next() else {
+                    return Ok(());
+                };
+                let id = self.next_id;
+                self.next_id += 1;
+                // Operation boundary: apply any delivered coherence
+                // messages before the op routes through the cache — the
+                // same drain point the blocking entry points use, so
+                // depth 1 stays byte-for-byte identical to blocking.
+                client.drain_coherence();
+                let pin = client.reader.pin();
+                let cx = client.op_cx();
+                let sm = match op {
+                    PipelineOp::Lookup { key } => OpSM::Lookup(LookupSM::new(&cx, key)),
+                    PipelineOp::Range { start_key, count } => {
+                        OpSM::Range(RangeSM::new(start_key, count))
+                    }
+                    PipelineOp::Insert { key, value } => {
+                        OpSM::Write(WriteSM::new(&cx, key, WriteKind::Insert { value }))
+                    }
+                    PipelineOp::Delete { key } => {
+                        OpSM::Write(WriteSM::new(&cx, key, WriteKind::Delete))
+                    }
+                };
+                self.slots[idx] = Some(Slot {
+                    id,
+                    op,
+                    sm,
+                    meta: OpMeta::default(),
+                    park: None,
+                    _pin: pin,
+                });
+                completion = None;
+                continue;
+            };
+            // Tag every verb (and CPU charge) of this step with the op's
+            // id so the shared completion queue can attribute it.
+            active.park = None;
+            client.ctx.set_current_op(Some(active.id));
+            let step = active.sm.step(client, &mut active.meta, completion.take());
+            client.ctx.set_current_op(None);
+            match step.map_err(|e| (idx, e))? {
+                Step::Pending(park) => {
+                    active.park = Some(park);
+                    return Ok(());
+                }
+                Step::Done(output) => {
+                    let finished = self.slots[idx].take().expect("active slot");
+                    let op_stats = client.ctx.take_op_stats(finished.id);
+                    self.results.push(PipelinedResult {
+                        op: finished.op,
+                        output,
+                        latency_ns: op_stats.latency_ns(),
+                        round_trips: op_stats.round_trips,
+                        bytes_written: op_stats.bytes_written,
+                        read_retries: finished.meta.read_retries,
+                        handed_over: finished.meta.handed_over,
+                        cache_hit: finished.meta.cache_hit,
+                    });
+                    // The slot is free: pull the next operation.
+                }
+            }
+        }
+    }
+
+    /// Make every local move before the next poll: retry the slots parked
+    /// on a local lock (a release just now may have handed one of them the
+    /// lock), and run a waiting structural tail once no other slot holds or
+    /// is acquiring a lock.  Repeats until nothing moves.
+    fn settle<B: FabricBackend>(&mut self, client: &mut TreeClient<B>) -> Result<(), Failure> {
+        loop {
+            let mut moved = false;
+            for idx in 0..self.slots.len() {
+                let runnable = match &self.slots[idx] {
+                    // Retry a lock waiter only once it may take its lock
+                    // (free, and it is first in line), and a not-yet-queued
+                    // one only while the tail gate is open.
+                    Some(slot) if slot.park == Some(Park::Lock) => {
+                        !slot.sm.lock_blocked()
+                            && (slot.sm.engaged()
+                                || !self.others(idx, |s| s.park == Some(Park::Tail)))
+                    }
+                    Some(slot) if slot.park == Some(Park::Tail) => {
+                        !self.others(idx, |s| s.sm.engaged())
+                    }
+                    _ => false,
+                };
+                if !runnable {
+                    continue;
+                }
+                let id = self.slots[idx].as_ref().map(|s| s.id);
+                self.advance(client, idx, None)?;
+                let same_op = self.slots[idx].as_ref().map(|s| s.id) == id;
+                moved |= !same_op || self.parked(idx) != Some(Park::Lock);
+            }
+            if !moved {
+                return Ok(());
+            }
+        }
+    }
+
+    fn drive<B: FabricBackend>(&mut self, client: &mut TreeClient<B>) -> Result<(), Failure> {
+        // Fill every slot.
+        for idx in 0..self.slots.len() {
+            self.advance(client, idx, None)?;
+        }
+        let poll_ns = client.cluster.lock_manager().poll_interval_ns();
+        loop {
+            self.settle(client)?;
+            if self.slots.iter().all(Option::is_none) {
+                return Ok(());
+            }
+            match client.ctx.poll(None) {
+                // Completion-driven: the earliest outstanding verb decides
+                // which operation advances.
+                Some(completion) => {
+                    let idx = (0..self.slots.len())
+                        .find(|&i| self.parked(i) == Some(Park::Verb(completion.token)))
+                        .expect("completion token belongs to an in-flight operation");
+                    self.advance(client, idx, Some(completion))?;
+                }
+                // Nothing is outstanding, so every live slot waits on a lock
+                // held by another thread: spin on CPU time like HOCL's
+                // blocking acquire, charged to the oldest waiter.
+                None => {
+                    let waiter = self
+                        .slots
+                        .iter()
+                        .flatten()
+                        .filter(|s| s.park == Some(Park::Lock))
+                        .map(|s| s.id)
+                        .min();
+                    client.ctx.set_current_op(waiter);
+                    client.ctx.charge_cpu(poll_ns);
+                    client.ctx.set_current_op(None);
+                }
+            }
+        }
+    }
+
+    /// Error cleanup: every op but the failed one gives back the lock it
+    /// holds or is acquiring (the failed op released its own on the way
+    /// out, as the blocking paths do).
+    fn abandon<B: FabricBackend>(&mut self, client: &mut TreeClient<B>, failed: usize) {
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
+            if idx == failed {
+                continue;
+            }
+            if let Some(slot) = slot.as_mut() {
+                client.ctx.set_current_op(Some(slot.id));
+                // Best effort: the run already failed with the first error.
+                let _ = slot.sm.abandon(client);
+                client.ctx.set_current_op(None);
+            }
+        }
+    }
 }
 
 impl<B: FabricBackend> TreeClient<B> {
@@ -172,10 +382,9 @@ impl<B: FabricBackend> TreeClient<B> {
     /// single fabric context, returning every result plus the run's overlap
     /// gauges.  `depth == 1` executes exactly the blocking path.
     ///
-    /// All four operation kinds pipeline.  Reads are lock-free throughout;
-    /// writes overlap during their location phase and execute their lock
-    /// critical section atomically within one step, leaving at most the
-    /// deferred write-back + release verb outstanding (see the module docs).
+    /// All four operation kinds pipeline, writes through their lock
+    /// critical sections too: every wait parks the op and lets the others
+    /// run (see the module docs).
     pub fn run_pipelined(
         &mut self,
         ops: impl IntoIterator<Item = PipelineOp>,
@@ -187,122 +396,20 @@ impl<B: FabricBackend> TreeClient<B> {
         self.ctx.reset_max_in_flight();
         let before = self.ctx.stats();
         let t0 = self.ctx.now();
-        let mut feed = ops.into_iter();
-        let mut slots: Vec<Option<Slot>> = Vec::new();
-        slots.resize_with(depth, || None);
-        let mut results = Vec::new();
-        let mut next_id: u64 = 0;
-
-        // Drive one slot until it parks on a posted verb or completes; a
-        // completed slot immediately pulls the next operation from the feed.
-        // Returns Err on operation failure (the caller drains the queue).
-        fn advance<B: FabricBackend>(
-            client: &mut TreeClient<B>,
-            slot: &mut Option<Slot>,
-            feed: &mut impl Iterator<Item = PipelineOp>,
-            next_id: &mut u64,
-            results: &mut Vec<PipelinedResult>,
-            mut completion: Option<Completion>,
-        ) -> TreeResult<()> {
-            loop {
-                let Some(active) = slot.as_mut() else {
-                    // Park an empty slot on the next operation of the feed.
-                    let Some(op) = feed.next() else {
-                        return Ok(());
-                    };
-                    let id = *next_id;
-                    *next_id += 1;
-                    // Operation boundary: apply any delivered coherence
-                    // messages before the op routes through the cache — the
-                    // same drain point the blocking entry points use, so
-                    // depth 1 stays byte-for-byte identical to blocking.
-                    client.drain_coherence();
-                    let pin = client.reader.pin();
-                    let cx = client.op_cx();
-                    let sm = match op {
-                        PipelineOp::Lookup { key } => OpSM::Lookup(LookupSM::new(&cx, key)),
-                        PipelineOp::Range { start_key, count } => {
-                            OpSM::Range(RangeSM::new(start_key, count))
-                        }
-                        PipelineOp::Insert { key, value } => {
-                            OpSM::Insert(InsertSM::new(&cx, key, value))
-                        }
-                        PipelineOp::Delete { key } => OpSM::Delete(DeleteSM::new(&cx, key)),
-                    };
-                    *slot = Some(Slot {
-                        id,
-                        op,
-                        sm,
-                        meta: OpMeta::default(),
-                        waiting_on: None,
-                        _pin: pin,
-                    });
-                    completion = None;
-                    continue;
-                };
-                // Tag every verb (and CPU charge) of this step with the op's
-                // id so the shared completion queue can attribute it.
-                client.ctx.set_current_op(Some(active.id));
-                let step = active.sm.step(client, &mut active.meta, completion.take());
-                client.ctx.set_current_op(None);
-                match step? {
-                    Step::Pending(token) => {
-                        active.waiting_on = Some(token);
-                        return Ok(());
-                    }
-                    Step::Done(output) => {
-                        let finished = slot.take().expect("active slot");
-                        let op_stats = client.ctx.take_op_stats(finished.id);
-                        results.push(PipelinedResult {
-                            op: finished.op,
-                            output,
-                            latency_ns: op_stats.latency_ns(),
-                            round_trips: op_stats.round_trips,
-                            bytes_written: op_stats.bytes_written,
-                            read_retries: finished.meta.read_retries,
-                            handed_over: finished.meta.handed_over,
-                            cache_hit: finished.meta.cache_hit,
-                        });
-                        // The slot is free: pull the next operation.
-                        continue;
-                    }
-                }
-            }
-        }
-
-        let run = (|| -> TreeResult<()> {
-            // Fill every slot.
-            for slot in slots.iter_mut() {
-                advance(self, slot, &mut feed, &mut next_id, &mut results, None)?;
-            }
-            // Completion-driven loop: the earliest outstanding verb decides
-            // which operation advances.
-            while slots.iter().any(Option::is_some) {
-                let completion = self
-                    .ctx
-                    .poll(None)
-                    .expect("every in-flight operation has an outstanding verb");
-                let idx = slots
-                    .iter()
-                    .position(|s| {
-                        s.as_ref()
-                            .is_some_and(|slot| slot.waiting_on == Some(completion.token))
-                    })
-                    .expect("completion token belongs to an in-flight operation");
-                advance(
-                    self,
-                    &mut slots[idx],
-                    &mut feed,
-                    &mut next_id,
-                    &mut results,
-                    Some(completion),
-                )?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = run {
-            // Leave the context clean: observe every outstanding completion
-            // before surfacing the failure.
+        let mut run = Run {
+            feed: ops.into_iter(),
+            slots: (0..depth).map(|_| None).collect(),
+            results: Vec::new(),
+            next_id: 0,
+        };
+        let outcome = run.drive(self);
+        self.lock_gate = false;
+        self.merge_tails.clear();
+        if let Err((failed, e)) = outcome {
+            // Leave the context clean: give back every lock, then observe
+            // every outstanding completion before surfacing the failure.
+            run.abandon(self, failed);
+            self.ctx.reset_critical();
             self.ctx.drain();
             return Err(e);
         }
@@ -319,7 +426,7 @@ impl<B: FabricBackend> TreeClient<B> {
             .saturating_sub(t0);
         let overlap = overlap_from_stats(&stats, window_ns);
         Ok(PipelineReport {
-            results,
+            results: run.results,
             elapsed_ns,
             stats,
             overlap,

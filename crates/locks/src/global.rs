@@ -14,7 +14,10 @@
 
 use crate::slot_hash;
 use sherman_memserver::{MemoryPool, ServerLayout};
-use sherman_sim::{ClientCtx, FabricBackend, FabricChannel, GlobalAddress, PendingVerb, SimResult, WriteCmd};
+use sherman_sim::{
+    ClientCtx, Completion, FabricBackend, FabricChannel, GlobalAddress, PendingVerb, SimResult,
+    VerbResult, WriteCmd,
+};
 
 /// Which physical realization of the global lock table is in use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,6 +170,24 @@ impl GlobalLockTable {
         ((owner as u64) + 1) << loc.shift
     }
 
+    /// Post one acquisition attempt on the lock at `loc` for compute server
+    /// `owner` — a `RDMA_CAS` (masked for on-chip locks) — without waiting
+    /// for it.  The swap takes effect at post time; [`cas_won`] reads the
+    /// completion.
+    pub fn post_try_acquire_at<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        loc: LockLocation,
+        owner: u16,
+    ) -> SimResult<PendingVerb> {
+        let value = Self::owner_value(&loc, owner);
+        if loc.bits == 64 {
+            client.post_cas(loc.word, 0, value)
+        } else {
+            client.post_masked_cas(loc.word, 0, value, loc.mask())
+        }
+    }
+
     /// Attempt to acquire the lock at `loc` once for compute server `owner`.
     /// Returns whether the acquisition succeeded.
     pub fn try_acquire_at<C: FabricChannel>(
@@ -175,30 +196,8 @@ impl GlobalLockTable {
         loc: LockLocation,
         owner: u16,
     ) -> SimResult<bool> {
-        let value = Self::owner_value(&loc, owner);
-        let result = if loc.bits == 64 {
-            client.cas(loc.word, 0, value)?
-        } else {
-            client.masked_cas(loc.word, 0, value, loc.mask())?
-        };
-        Ok(result.succeeded)
-    }
-
-    /// Spin until the lock at `loc` is acquired; every failed attempt is a
-    /// remote retry that burns NIC IOPS, exactly the behaviour Figure 2
-    /// demonstrates.  Returns the number of failed attempts.
-    pub fn acquire_at<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        loc: LockLocation,
-        owner: u16,
-    ) -> SimResult<u64> {
-        let mut retries = 0u64;
-        while !self.try_acquire_at(client, loc, owner)? {
-            retries += 1;
-            client.note_retries(1);
-        }
-        Ok(retries)
+        let token = self.post_try_acquire_at(client, loc, owner)?;
+        Ok(cas_won(&client.poll_token(token)))
     }
 
     /// The `RDMA_WRITE` command that releases the lock at `loc`.
@@ -257,6 +256,18 @@ impl GlobalLockTable {
                 client.post_write_batch(&[cmd])
             }
         }
+    }
+}
+
+/// Whether a posted acquisition attempt ([`GlobalLockTable::post_try_acquire_at`])
+/// won the lock; `false` means the word was held and the caller retries.
+///
+/// # Panics
+/// Panics when the completion is not a CAS — a harness bug.
+pub fn cas_won(completion: &Completion) -> bool {
+    match &completion.result {
+        VerbResult::Cas(r) => r.succeeded,
+        other => panic!("expected a CAS completion, got {other:?}"),
     }
 }
 
@@ -343,7 +354,7 @@ mod tests {
         }
         glt.release_at(&mut client, loc, 1).unwrap();
         assert_eq!(retries, 3);
-        assert_eq!(glt.acquire_at(&mut client, loc, 2).unwrap(), 0);
+        assert!(glt.try_acquire_at(&mut client, loc, 2).unwrap());
     }
 
     #[test]

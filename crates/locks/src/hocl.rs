@@ -13,7 +13,10 @@
 //! so that other compute servers are not starved.
 
 use crate::global::GlobalLockTable;
-use crate::manager::{flush_writes_and_release, AcquireOutcome, NodeLockManager, ReleaseOutcome};
+use crate::manager::{
+    drive_acquire, flush_writes_and_release, AcquireOutcome, LocalTicket, LocalTry,
+    NodeLockManager, ReleaseOutcome, ReleaseVerb, DEFAULT_POLL_INTERVAL_NS,
+};
 use parking_lot::Mutex;
 use sherman_sim::{ClientCtx, FabricChannel, GlobalAddress, PendingVerb, SimResult, WriteCmd};
 use std::collections::{HashMap, VecDeque};
@@ -44,7 +47,7 @@ impl Default for HoclOptions {
             use_wait_queue: true,
             use_handover: true,
             max_handover_depth: MAX_HANDOVER_DEPTH,
-            poll_interval_ns: 200,
+            poll_interval_ns: DEFAULT_POLL_INTERVAL_NS,
         }
     }
 }
@@ -79,9 +82,47 @@ struct LocalLockState {
     handover_depth: u32,
 }
 
-#[derive(Debug, Default)]
-struct LocalLock {
+#[derive(Debug)]
+pub(crate) struct LocalLock {
     state: Mutex<LocalLockState>,
+    /// Who may take the lock right now, mirrored from `state` after every
+    /// change: [`LocalLock::HELD`], [`LocalLock::FREE`] (free, nobody
+    /// queued) or the ticket at the head of the queue.  Lets a waiter see
+    /// that a try would fail without taking the mutex.
+    admits: AtomicU64,
+}
+
+impl Default for LocalLock {
+    fn default() -> Self {
+        LocalLock {
+            state: Mutex::default(),
+            admits: AtomicU64::new(Self::FREE),
+        }
+    }
+}
+
+impl LocalLock {
+    const HELD: u64 = u64::MAX;
+    const FREE: u64 = u64::MAX - 1;
+
+    /// Mirror `st` into `admits`; called with the state mutex held.
+    fn publish(&self, st: &LocalLockState) {
+        let admits = if st.held {
+            Self::HELD
+        } else {
+            st.queue.front().copied().unwrap_or(Self::FREE)
+        };
+        self.admits.store(admits, Ordering::Release);
+    }
+
+    /// Whether a try by `ticket` would fail now.
+    pub(crate) fn blocks(&self, ticket: &LocalTicket) -> bool {
+        match self.admits.load(Ordering::Acquire) {
+            Self::HELD => true,
+            Self::FREE => false,
+            head => !ticket.enqueued || ticket.id != Some(head),
+        }
+    }
 }
 
 /// One shard of the local lock table: `(ms, slot) -> lock record`.
@@ -181,58 +222,83 @@ impl HoclManager {
         self.local_table(cs).queued_waiters(node.ms, slot)
     }
 
-    fn acquire_slot<C: FabricChannel>(
+    /// The local half of an acquisition: take the local lock for
+    /// `(ms, slot)` if it is free and `ticket` is at the head of the FIFO
+    /// queue (joining the queue on the first failed try).  The ticket that a
+    /// release granted the global lock to acquires with `handed_over`.
+    fn try_lock_slot(&self, cs: u16, ms: u16, slot: u64, ticket: &mut LocalTicket) -> LocalTry {
+        if ticket.blocked() {
+            return LocalTry::Wait;
+        }
+        let llt = self.local_table(cs);
+        let local = Arc::clone(ticket.lock.get_or_insert_with(|| llt.lock_for(ms, slot)));
+        let id = *ticket.id.get_or_insert_with(|| llt.new_ticket());
+        let mut st = local.state.lock();
+        let at_head = if self.options.use_wait_queue {
+            if ticket.enqueued {
+                st.queue.front() == Some(&id)
+            } else {
+                st.queue.is_empty()
+            }
+        } else {
+            true
+        };
+        if !st.held && at_head {
+            st.held = true;
+            if ticket.enqueued {
+                st.queue.pop_front();
+                ticket.enqueued = false;
+            }
+            ticket.held = true;
+            let handed_over = self.options.use_handover && st.grant.take() == Some(id);
+            local.publish(&st);
+            return LocalTry::Acquired { handed_over };
+        }
+        if self.options.use_wait_queue && !ticket.enqueued {
+            st.queue.push_back(id);
+            ticket.enqueued = true;
+            local.publish(&st);
+        }
+        LocalTry::Wait
+    }
+
+    /// Withdraw `ticket` from the local lock for `(ms, slot)`: leave the
+    /// queue, or drop a held local lock whose remote attempt never won.
+    /// Returns `true` when the ticket had been granted the global lock by a
+    /// handover; it then holds the local lock and must release normally.
+    fn cancel_slot(&self, cs: u16, ms: u16, slot: u64, ticket: &mut LocalTicket) -> bool {
+        let Some(id) = ticket.id else {
+            return false;
+        };
+        let local = self.local_table(cs).lock_for(ms, slot);
+        let mut st = local.state.lock();
+        let mut must_release = false;
+        if ticket.held {
+            ticket.held = false;
+            st.held = false;
+        } else if ticket.enqueued {
+            ticket.enqueued = false;
+            st.queue.retain(|&t| t != id);
+            if st.grant == Some(id) {
+                st.grant = None;
+                st.held = true;
+                ticket.held = true;
+                must_release = true;
+            }
+        }
+        local.publish(&st);
+        must_release
+    }
+
+    fn post_lock_slot<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
         ms: u16,
         slot: u64,
-    ) -> SimResult<AcquireOutcome> {
-        let llt = self.local_table(client.cs_id());
-        let local = llt.lock_for(ms, slot);
-        let ticket = llt.new_ticket();
-        let mut enqueued = false;
-        let handed_over;
-        loop {
-            let mut st = local.state.lock();
-            let at_head = if self.options.use_wait_queue {
-                if enqueued {
-                    st.queue.front() == Some(&ticket)
-                } else {
-                    st.queue.is_empty()
-                }
-            } else {
-                true
-            };
-            if !st.held && at_head {
-                st.held = true;
-                if enqueued {
-                    st.queue.pop_front();
-                }
-                handed_over = self.options.use_handover && st.grant.take() == Some(ticket);
-                break;
-            }
-            if self.options.use_wait_queue && !enqueued {
-                st.queue.push_back(ticket);
-                enqueued = true;
-            }
-            drop(st);
-            // Local polling costs CPU time only — no fabric verbs are issued,
-            // which is precisely how the LLT saves RDMA IOPS.
-            client.charge_cpu(self.options.poll_interval_ns);
-        }
-
-        if handed_over {
-            return Ok(AcquireOutcome {
-                remote_retries: 0,
-                handed_over: true,
-            });
-        }
-        let loc = self.glt.location_of_slot(ms, slot);
-        let remote_retries = self.glt.acquire_at(client, loc, client.cs_id())?;
-        Ok(AcquireOutcome {
-            remote_retries,
-            handed_over: false,
-        })
+    ) -> SimResult<PendingVerb> {
+        let owner = client.cs_id();
+        self.glt
+            .post_try_acquire_at(client, self.glt.location_of_slot(ms, slot), owner)
     }
 
     fn release_slot<C: FabricChannel>(
@@ -266,42 +332,25 @@ impl HoclManager {
         };
 
         let loc = self.glt.location_of_slot(ms, slot);
-        let release_cmd = if handover {
-            None
+        let release = if handover {
+            ReleaseVerb::Keep
         } else if self.glt.kind().release_is_write() {
-            Some(self.glt.release_write_cmd(loc))
+            ReleaseVerb::Write(self.glt.release_write_cmd(loc))
         } else {
-            None
+            ReleaseVerb::Standalone(&self.glt, loc, client.cs_id())
         };
-        let owner = client.cs_id();
-        let must_release_remote = !handover && !self.glt.kind().release_is_write();
-        let glt = &self.glt;
-        let deferred = flush_writes_and_release(
-            client,
-            writes,
-            combine,
-            release_cmd,
-            |c, post_only| {
-                if !must_release_remote {
-                    return Ok(None);
-                }
-                if post_only {
-                    Ok(Some(glt.post_release_at(c, loc, owner)?))
-                } else {
-                    glt.release_at(c, loc, owner)?;
-                    Ok(None)
-                }
-            },
-            ms,
-            defer,
-        )?;
+        let deferred = flush_writes_and_release(client, writes, combine, release, ms, defer)?;
 
         // Finally release the local lock; the handed-over waiter (if any) will
         // find the grant when it takes the local lock.  A deferred release is
-        // safe here: its memory effect (freeing the global word) applied at
-        // the post instant, so the next owner — local or remote — already
-        // observes the lock free.
-        local.state.lock().held = false;
+        // safe here: its memory effect (freeing the global word, or the
+        // write-back a handed-over waiter will read) applied at the post
+        // instant, so the next owner — local or remote — already observes it.
+        {
+            let mut st = local.state.lock();
+            st.held = false;
+            local.publish(&st);
+        }
         Ok((
             ReleaseOutcome {
                 released_global: !handover,
@@ -318,7 +367,13 @@ impl HoclManager {
         ms: u16,
         slot: u64,
     ) -> SimResult<AcquireOutcome> {
-        self.acquire_slot(client, ms, slot)
+        let cs = client.cs_id();
+        drive_acquire(
+            client,
+            self.options.poll_interval_ns,
+            |ticket| self.try_lock_slot(cs, ms, slot, ticket),
+            |c| self.post_lock_slot(c, ms, slot),
+        )
     }
 
     /// Whether `a` and `b` are guarded by the same lock word (inherent
@@ -366,13 +421,24 @@ impl<C: FabricChannel> NodeLockManager<C> for HoclManager {
         HoclManager::lock_plan(self, nodes)
     }
 
-    fn acquire(
+    fn try_lock_local(&self, cs: u16, node: GlobalAddress, ticket: &mut LocalTicket) -> LocalTry {
+        self.try_lock_slot(cs, node.ms, self.glt.slot_of(node), ticket)
+    }
+
+    fn post_lock_remote(
         &self,
         client: &mut ClientCtx<C>,
         node: GlobalAddress,
-    ) -> SimResult<AcquireOutcome> {
-        let slot = self.glt.slot_of(node);
-        self.acquire_slot(client, node.ms, slot)
+    ) -> SimResult<PendingVerb> {
+        self.post_lock_slot(client, node.ms, self.glt.slot_of(node))
+    }
+
+    fn cancel_local(&self, cs: u16, node: GlobalAddress, ticket: &mut LocalTicket) -> bool {
+        self.cancel_slot(cs, node.ms, self.glt.slot_of(node), ticket)
+    }
+
+    fn poll_interval_ns(&self) -> u64 {
+        self.options.poll_interval_ns
     }
 
     fn release_deferred(
@@ -647,6 +713,88 @@ mod tests {
         let mut other_cs = pool.fabric().client(1);
         let a = mgr.acquire(&mut other_cs, node).unwrap();
         assert!(!a.handed_over);
+    }
+
+    #[test]
+    fn split_acquire_queues_and_hands_over_without_a_cas() {
+        let (pool, mgr) = setup(HoclOptions::default());
+        let node = GlobalAddress::host(0, 90 << 10);
+        let mut client = pool.fabric().client(0);
+        let mgr: &dyn NodeLockManager = mgr.as_ref();
+
+        // First waiter takes the local lock, then wins the remote CAS.
+        let mut first = LocalTicket::default();
+        assert_eq!(
+            mgr.try_lock_local(0, node, &mut first),
+            LocalTry::Acquired { handed_over: false }
+        );
+        let token = mgr.post_lock_remote(&mut client, node).unwrap();
+        assert!(crate::cas_won(&client.poll_token(token)));
+
+        // Second waiter queues; a retry before anything moved is skipped.
+        let mut second = LocalTicket::default();
+        assert_eq!(mgr.try_lock_local(0, node, &mut second), LocalTry::Wait);
+        assert!(second.enqueued() && second.blocked());
+        assert_eq!(mgr.try_lock_local(0, node, &mut second), LocalTry::Wait);
+
+        // The release hands the still-held global lock to the queue head:
+        // it acquires without posting a CAS.
+        let before = client.stats().round_trips;
+        let out = mgr.release(&mut client, node, Vec::new(), true).unwrap();
+        assert!(!out.released_global);
+        assert!(!second.blocked());
+        assert_eq!(
+            mgr.try_lock_local(0, node, &mut second),
+            LocalTry::Acquired { handed_over: true }
+        );
+        assert_eq!(client.stats().round_trips, before, "handover posts no verb");
+        assert!(
+            mgr.release(&mut client, node, Vec::new(), true)
+                .unwrap()
+                .released_global
+        );
+    }
+
+    #[test]
+    fn cancelled_waiters_leave_the_lock_usable() {
+        let (pool, mgr) = setup(HoclOptions::default());
+        let node = GlobalAddress::host(1, 90 << 10);
+        let mut client = pool.fabric().client(0);
+        let locks: &dyn NodeLockManager = mgr.as_ref();
+
+        let mut holder = LocalTicket::default();
+        assert!(matches!(
+            locks.try_lock_local(0, node, &mut holder),
+            LocalTry::Acquired { .. }
+        ));
+        let token = locks.post_lock_remote(&mut client, node).unwrap();
+        assert!(crate::cas_won(&client.poll_token(token)));
+        let (mut granted, mut queued) = (LocalTicket::default(), LocalTicket::default());
+        assert_eq!(locks.try_lock_local(0, node, &mut granted), LocalTry::Wait);
+        assert_eq!(locks.try_lock_local(0, node, &mut queued), LocalTry::Wait);
+
+        // The holder hands over to `granted`, which then withdraws: it owns
+        // the global lock and must release it; `queued` withdraws plainly.
+        locks.release(&mut client, node, Vec::new(), true).unwrap();
+        assert!(locks.cancel_local(0, node, &mut granted));
+        assert!(!locks.cancel_local(0, node, &mut queued));
+        locks.release(&mut client, node, Vec::new(), true).unwrap();
+        assert_eq!(mgr.queued_waiters(0, node), 0);
+
+        // A local holder whose remote attempt never won just drops the
+        // local lock.
+        let mut loser = LocalTicket::default();
+        assert!(matches!(
+            locks.try_lock_local(0, node, &mut loser),
+            LocalTry::Acquired { .. }
+        ));
+        assert!(!locks.cancel_local(0, node, &mut loser));
+
+        // Nothing is left held: another compute server acquires remotely.
+        let mut other = pool.fabric().client(1);
+        let a = locks.acquire(&mut other, node).unwrap();
+        assert!(!a.handed_over);
+        assert_eq!(a.remote_retries, 0);
     }
 
     #[test]

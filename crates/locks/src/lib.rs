@@ -31,7 +31,11 @@ pub mod manager;
 
 pub use global::{GlobalLockKind, GlobalLockTable, LockLocation};
 pub use hocl::{HoclManager, HoclOptions, LocalLockTable, MAX_HANDOVER_DEPTH};
-pub use manager::{AcquireOutcome, NodeLockManager, ReleaseOutcome, RemoteLockManager};
+pub use global::cas_won;
+pub use manager::{
+    AcquireOutcome, LocalTicket, LocalTry, NodeLockManager, ReleaseOutcome, RemoteLockManager,
+    DEFAULT_POLL_INTERVAL_NS,
+};
 
 /// Hash a packed global address into a lock-table slot.
 ///

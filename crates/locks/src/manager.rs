@@ -2,8 +2,14 @@
 //! non-hierarchical manager that the FG/FG+ baselines and the early ablation
 //! steps use.
 
-use crate::global::GlobalLockTable;
+use crate::global::{cas_won, GlobalLockTable, LockLocation};
+use crate::hocl::LocalLock;
 use sherman_sim::{ClientCtx, FabricChannel, GlobalAddress, PendingVerb, SimChannel, SimResult, WriteCmd};
+use std::sync::Arc;
+
+/// Virtual time a waiter spends between two tries of a busy local lock,
+/// unless the manager says otherwise ([`NodeLockManager::poll_interval_ns`]).
+pub const DEFAULT_POLL_INTERVAL_NS: u64 = 200;
 
 /// Result of acquiring a node lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -24,6 +30,90 @@ pub struct ReleaseOutcome {
     pub released_global: bool,
 }
 
+/// One waiter's place at a compute server's local lock, carried across the
+/// [`NodeLockManager::try_lock_local`] calls of one acquisition (HOCL's FIFO
+/// ticket).  Start every acquisition from `LocalTicket::default()`.
+#[derive(Debug, Clone, Default)]
+pub struct LocalTicket {
+    pub(crate) id: Option<u64>,
+    pub(crate) enqueued: bool,
+    pub(crate) held: bool,
+    /// The lock record this ticket waits on (set by its first try).
+    pub(crate) lock: Option<Arc<LocalLock>>,
+}
+
+impl LocalTicket {
+    /// Whether the waiter joined the local FIFO queue.  From then on it is
+    /// committed: a release may hand it the lock, so it must either acquire
+    /// or withdraw through [`NodeLockManager::cancel_local`].
+    pub fn enqueued(&self) -> bool {
+        self.enqueued
+    }
+
+    /// Whether a try would fail right now: the lock is held, or another
+    /// waiter is ahead in its queue.  Cheap (no lock is taken), so a
+    /// scheduler can skip waiters that cannot move.  `false` before the
+    /// first try.
+    pub fn blocked(&self) -> bool {
+        self.lock.as_ref().is_some_and(|l| l.blocks(self))
+    }
+}
+
+/// Result of one [`NodeLockManager::try_lock_local`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LocalTry {
+    /// The local lock is held.  With `handed_over` the global lock came with
+    /// it and no remote acquisition is needed; otherwise the caller posts
+    /// [`NodeLockManager::post_lock_remote`] until it wins.
+    Acquired {
+        /// Whether a releasing holder handed over the global lock.
+        handed_over: bool,
+    },
+    /// Someone else holds the local lock (or is ahead in the queue); try
+    /// again later with the same ticket.
+    Wait,
+}
+
+/// Drive an acquisition to completion, blocking: local tries separated by
+/// `poll_ns` of CPU time, then remote attempts until one wins.  The blocking
+/// [`NodeLockManager::acquire`] and HOCL's raw-slot entry point share it.
+pub(crate) fn drive_acquire<C: FabricChannel>(
+    client: &mut ClientCtx<C>,
+    poll_ns: u64,
+    mut try_local: impl FnMut(&mut LocalTicket) -> LocalTry,
+    mut post_remote: impl FnMut(&mut ClientCtx<C>) -> SimResult<PendingVerb>,
+) -> SimResult<AcquireOutcome> {
+    let mut ticket = LocalTicket::default();
+    loop {
+        match try_local(&mut ticket) {
+            LocalTry::Acquired { handed_over: true } => {
+                return Ok(AcquireOutcome {
+                    remote_retries: 0,
+                    handed_over: true,
+                })
+            }
+            LocalTry::Acquired { handed_over: false } => break,
+            // Local polling costs CPU time only — no fabric verbs are issued,
+            // which is precisely how the LLT saves RDMA IOPS.
+            LocalTry::Wait => client.charge_cpu(poll_ns),
+        }
+    }
+    // Every failed remote attempt is a retry that burns NIC IOPS — the
+    // behaviour Figure 2 demonstrates.
+    let mut remote_retries = 0u64;
+    loop {
+        let token = post_remote(client)?;
+        if cas_won(&client.poll_token(token)) {
+            return Ok(AcquireOutcome {
+                remote_retries,
+                handed_over: false,
+            });
+        }
+        remote_retries += 1;
+        client.note_retries(1);
+    }
+}
+
 /// Exclusive per-node locking as seen by the B+Tree.
 ///
 /// `release` also carries the node write-back commands so that implementations
@@ -34,10 +124,51 @@ pub struct ReleaseOutcome {
 /// The trait is generic over the fabric channel the clients run on, so one
 /// manager instance serves every client of a deployment regardless of
 /// backend; it defaults to the virtual-time simulator's channel.
+///
+/// Acquisition comes in two non-blocking pieces so a pipelined caller can
+/// park between them: [`NodeLockManager::try_lock_local`] (the compute
+/// server's local lock — HOCL's FIFO ticket and handover grant) and
+/// [`NodeLockManager::post_lock_remote`] (one posted CAS on the global lock
+/// word, whose completion says won or retry).  [`NodeLockManager::acquire`]
+/// is the blocking driver over the two.
 pub trait NodeLockManager<C: FabricChannel = SimChannel>: Send + Sync {
-    /// Acquire the exclusive lock protecting `node`.
-    fn acquire(&self, client: &mut ClientCtx<C>, node: GlobalAddress)
-        -> SimResult<AcquireOutcome>;
+    /// Try to take compute server `cs`'s local lock on `node` without
+    /// blocking.  Managers without a local layer always succeed without
+    /// handover.
+    fn try_lock_local(&self, cs: u16, node: GlobalAddress, ticket: &mut LocalTicket) -> LocalTry;
+
+    /// Post one remote acquisition attempt on the global lock word guarding
+    /// `node` (the caller holds the local lock).  The swap takes effect at
+    /// post time; [`crate::cas_won`] on the completion says whether it won.
+    fn post_lock_remote(
+        &self,
+        client: &mut ClientCtx<C>,
+        node: GlobalAddress,
+    ) -> SimResult<PendingVerb>;
+
+    /// Abandon an acquisition that does not hold the global lock: leave the
+    /// local queue, or drop a local lock whose remote attempt never won.
+    /// Returns `true` when a release had already handed this ticket the
+    /// global lock; the caller then holds the lock and must release it.
+    fn cancel_local(&self, cs: u16, node: GlobalAddress, ticket: &mut LocalTicket) -> bool;
+
+    /// Virtual time a waiter spends between two tries of a busy local lock.
+    fn poll_interval_ns(&self) -> u64 {
+        DEFAULT_POLL_INTERVAL_NS
+    }
+
+    /// Acquire the exclusive lock protecting `node`, blocking: local tries
+    /// separated by [`NodeLockManager::poll_interval_ns`], then remote
+    /// attempts until one wins.
+    fn acquire(&self, client: &mut ClientCtx<C>, node: GlobalAddress) -> SimResult<AcquireOutcome> {
+        let cs = client.cs_id();
+        drive_acquire(
+            client,
+            self.poll_interval_ns(),
+            |ticket| self.try_lock_local(cs, node, ticket),
+            |c| self.post_lock_remote(c, node),
+        )
+    }
 
     /// Release the lock protecting `node`, flushing `writes` (node
     /// write-backs on the same memory server) before or together with the
@@ -59,16 +190,17 @@ pub trait NodeLockManager<C: FabricChannel = SimChannel>: Send + Sync {
 
     /// Like [`NodeLockManager::release`], but when `defer` is set the **final**
     /// remote verb of the release sequence — the combined doorbell batch that
-    /// carries the release command, the standalone release write, or the FAA —
-    /// is posted split-phase and its token returned for the caller to poll.
+    /// carries the release command, the standalone release write, the FAA,
+    /// or on a local handover the last write-back — is posted split-phase
+    /// and its token returned for the caller to poll.
     ///
     /// Every memory effect (including freeing the lock word) still applies at
     /// the post instant, exactly as in the blocking path; only the wait for
     /// the acknowledgement moves to the caller.  A pipelined scheduler uses
     /// this to overlap the release round trip of one operation with other
-    /// operations' traversal verbs.  Earlier verbs of the sequence
-    /// (cross-server write-backs, uncombined write-backs) stay blocking, and a
-    /// local handover that needs no remote release returns `None`.
+    /// operations' verbs.  Earlier verbs of the sequence (cross-server
+    /// write-backs, uncombined write-backs) stay blocking, and a local
+    /// handover with nothing to write back returns `None`.
     fn release_deferred(
         &self,
         client: &mut ClientCtx<C>,
@@ -138,22 +270,26 @@ impl RemoteLockManager {
     }
 }
 
+/// How the global lock word is released at the end of a release sequence.
+pub(crate) enum ReleaseVerb<'a> {
+    /// A write clearing the word: it can ride in the write-back batch.
+    Write(WriteCmd),
+    /// A standalone verb (the FAA release of FG), posted after the writes.
+    Standalone(&'a GlobalLockTable, LockLocation, u16),
+    /// Nothing: the global lock stays held (local handover).
+    Keep,
+}
+
 /// Post `writes` and the lock release according to the combination policy.
 ///
-/// Shared by [`RemoteLockManager`] and the hierarchical manager.  `release_cmd`
-/// is `None` when the global lock must not be released (handover) or when the
-/// release cannot be expressed as a write (FAA release), in which case
-/// `fallback_release` performs it (posting split-phase and returning the token
-/// when handed `true`, blocking and returning `None` otherwise).
-///
-/// When `defer` is set, the final remote verb of the sequence is posted
+/// Shared by [`RemoteLockManager`] and the hierarchical manager.  When
+/// `defer` is set, the final remote verb of the sequence is posted
 /// split-phase and its token returned; every earlier verb stays blocking.
 pub(crate) fn flush_writes_and_release<C: FabricChannel>(
     client: &mut ClientCtx<C>,
     writes: Vec<WriteCmd>,
     combine: bool,
-    release_cmd: Option<WriteCmd>,
-    mut fallback_release: impl FnMut(&mut ClientCtx<C>, bool) -> SimResult<Option<PendingVerb>>,
+    release: ReleaseVerb<'_>,
     lock_ms: u16,
     defer: bool,
 ) -> SimResult<Option<PendingVerb>> {
@@ -166,38 +302,49 @@ pub(crate) fn flush_writes_and_release<C: FabricChannel>(
         client.post_writes(&[w])?;
     }
 
-    if combine {
-        let mut batch = same_ms;
-        if let Some(cmd) = release_cmd {
-            batch.push(cmd);
-            if defer {
-                return Ok(Some(client.post_write_batch(&batch)?));
-            }
-            client.post_writes(&batch)?;
-            return Ok(None);
+    // With combination the same-server writes and a write release share one
+    // doorbell batch.  Without it every command is its own round trip,
+    // exactly like the baseline ("issuing the following RDMA command only
+    // after receiving the acknowledgement of the preceding one").
+    let mut batches: Vec<Vec<WriteCmd>> = if combine {
+        vec![same_ms]
+    } else {
+        same_ms.into_iter().map(|w| vec![w]).collect()
+    };
+    let standalone = match release {
+        ReleaseVerb::Write(cmd) if combine => {
+            batches[0].push(cmd);
+            None
         }
-        if !batch.is_empty() {
-            client.post_writes(&batch)?;
+        ReleaseVerb::Write(cmd) => {
+            batches.push(vec![cmd]);
+            None
         }
-        return fallback_release(client, defer);
+        ReleaseVerb::Standalone(table, loc, owner) => Some((table, loc, owner)),
+        ReleaseVerb::Keep => None,
+    };
+    batches.retain(|b| !b.is_empty());
+    let last_batch = if standalone.is_none() {
+        batches.pop()
+    } else {
+        None
+    };
+    for batch in batches {
+        client.post_writes(&batch)?;
     }
-
-    // No combination: every command is its own round trip, exactly like the
-    // baseline ("issuing the following RDMA command only after receiving the
-    // acknowledgement of the preceding one").
-    for w in same_ms {
-        client.post_writes(&[w])?;
-    }
-    match release_cmd {
-        Some(cmd) => {
-            if defer {
-                return Ok(Some(client.post_write_batch(&[cmd])?));
-            }
-            client.post_writes(&[cmd])?;
-            Ok(None)
+    if let Some(batch) = last_batch {
+        if defer {
+            return Ok(Some(client.post_write_batch(&batch)?));
         }
-        None => fallback_release(client, defer),
+        client.post_writes(&batch)?;
     }
+    if let Some((table, loc, owner)) = standalone {
+        if defer {
+            return Ok(Some(table.post_release_at(client, loc, owner)?));
+        }
+        table.release_at(client, loc, owner)?;
+    }
+    Ok(None)
 }
 
 /// Rank a lock location for the multi-node acquisition order: the word
@@ -257,18 +404,28 @@ impl<C: FabricChannel> NodeLockManager<C> for RemoteLockManager {
         RemoteLockManager::lock_plan(self, nodes)
     }
 
-    fn acquire(
+    /// No local layer: every acquisition goes straight to the remote word.
+    fn try_lock_local(
+        &self,
+        _cs: u16,
+        _node: GlobalAddress,
+        _ticket: &mut LocalTicket,
+    ) -> LocalTry {
+        LocalTry::Acquired { handed_over: false }
+    }
+
+    fn post_lock_remote(
         &self,
         client: &mut ClientCtx<C>,
         node: GlobalAddress,
-    ) -> SimResult<AcquireOutcome> {
-        let loc = self.table.location_of(node);
+    ) -> SimResult<PendingVerb> {
         let owner = client.cs_id();
-        let remote_retries = self.table.acquire_at(client, loc, owner)?;
-        Ok(AcquireOutcome {
-            remote_retries,
-            handed_over: false,
-        })
+        self.table
+            .post_try_acquire_at(client, self.table.location_of(node), owner)
+    }
+
+    fn cancel_local(&self, _cs: u16, _node: GlobalAddress, _ticket: &mut LocalTicket) -> bool {
+        false
     }
 
     fn release_deferred(
@@ -281,28 +438,12 @@ impl<C: FabricChannel> NodeLockManager<C> for RemoteLockManager {
     ) -> SimResult<(ReleaseOutcome, Option<PendingVerb>)> {
         let loc = self.table.location_of(node);
         let owner = client.cs_id();
-        let release_cmd = if self.table.kind().release_is_write() {
-            Some(self.table.release_write_cmd(loc))
+        let release = if self.table.kind().release_is_write() {
+            ReleaseVerb::Write(self.table.release_write_cmd(loc))
         } else {
-            None
+            ReleaseVerb::Standalone(&self.table, loc, owner)
         };
-        let table = &self.table;
-        let deferred = flush_writes_and_release(
-            client,
-            writes,
-            combine,
-            release_cmd,
-            |c, post_only| {
-                if post_only {
-                    Ok(Some(table.post_release_at(c, loc, owner)?))
-                } else {
-                    table.release_at(c, loc, owner)?;
-                    Ok(None)
-                }
-            },
-            node.ms,
-            defer,
-        )?;
+        let deferred = flush_writes_and_release(client, writes, combine, release, node.ms, defer)?;
         Ok((
             ReleaseOutcome {
                 released_global: true,

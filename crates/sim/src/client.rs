@@ -223,9 +223,10 @@ impl OpVerbStats {
 
 /// One entry of the verb trace recorded by [`ClientCtx::enable_trace`]:
 /// every post is tagged with the op id that issued it and whether it fell
-/// inside a lock critical section, so a test (or a reader of the
-/// ARCHITECTURE diagram) can replay exactly how the shared completion queue
-/// routed completions back to in-flight operations.
+/// inside one of that op's lock critical sections, so a test (or a reader of
+/// the ARCHITECTURE diagram) can replay exactly how the shared completion
+/// queue routed completions back to in-flight operations and which op held
+/// which lock word when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A verb was posted (blocking wrappers record their post too).
@@ -234,18 +235,29 @@ pub enum TraceEvent {
         op: Option<u64>,
         /// CQ token id; `0` for blocking reads that never park on the CQ.
         token: u64,
-        /// Whether the post happened inside a lock critical section.
+        /// Whether the posting op held a lock critical section open.
         critical: bool,
+        /// Whether an atomic segment ([`ClientCtx::begin_atomic`]) was
+        /// running on this context.
+        atomic: bool,
     },
-    /// A lock critical section opened (outermost acquire only).
+    /// An op took a lock: its critical section on `lock` opened.
     CriticalBegin {
         /// Op id current when the section opened.
         op: Option<u64>,
+        /// Identity of the lock word (the lock manager's rank of it).
+        lock: u128,
+        /// Time on the backend's clock.
+        at: u64,
     },
-    /// A lock critical section closed (outermost release only).
+    /// An op released a lock: its critical section on `lock` closed.
     CriticalEnd {
         /// Op id current when the section closed.
         op: Option<u64>,
+        /// Identity of the lock word (the lock manager's rank of it).
+        lock: u128,
+        /// Time on the backend's clock.
+        at: u64,
     },
 }
 
@@ -665,12 +677,17 @@ pub struct ClientCtx<C: FabricChannel = SimChannel> {
     /// Outstanding completions, unordered; every entry's `completed_at` was
     /// fixed at post time.
     cq: Vec<Completion>,
+    /// Scratch buffer for the completion times `poll` hands the clock.
+    poll_targets: Vec<u64>,
     /// Op id stamped onto every post until changed (pipelined drivers).
     current_op: Option<u64>,
     /// Per-op verb accounting, populated only while `current_op` is set.
     op_stats: HashMap<u64, OpVerbStats>,
-    /// Nesting depth of lock critical sections (see `begin_critical`).
-    critical_depth: u32,
+    /// Open lock critical sections, one `(op, lock)` per held lock word
+    /// (see `begin_critical`).
+    critical: Vec<(Option<u64>, u128)>,
+    /// Nesting depth of atomic segments (see `begin_atomic`).
+    atomic_depth: u32,
     /// Verb/critical-section trace, recorded only when enabled.
     trace: Option<Vec<TraceEvent>>,
 }
@@ -693,9 +710,11 @@ impl<C: FabricChannel> ClientCtx<C> {
             stats: Arc::new(SharedClientStats::default()),
             next_token: 0,
             cq: Vec::new(),
+            poll_targets: Vec::new(),
             current_op: None,
             op_stats: HashMap::new(),
-            critical_depth: 0,
+            critical: Vec::new(),
+            atomic_depth: 0,
             trace: None,
         }
     }
@@ -782,35 +801,59 @@ impl<C: FabricChannel> ClientCtx<C> {
         self.op_stats.remove(&op).unwrap_or_default()
     }
 
-    /// Mark the opening of a lock critical section.  Sections nest (a merge
-    /// holds several node locks); only the outermost transition is traced.
-    pub fn begin_critical(&mut self) {
-        self.critical_depth += 1;
-        if self.critical_depth == 1 {
-            if let Some(trace) = self.trace.as_mut() {
-                trace.push(TraceEvent::CriticalBegin {
-                    op: self.current_op,
-                });
-            }
+    /// Mark that the current op took the lock identified by `lock`: its
+    /// critical section on that word is open until [`Self::end_critical`].
+    /// Sections are tracked per op, so several in-flight ops may each hold
+    /// a (different) lock at once; one op may hold several (a merge).
+    pub fn begin_critical(&mut self, lock: u128) {
+        self.critical.push((self.current_op, lock));
+        // The clock is read only when tracing: it costs a lock on the
+        // simulator's clock.
+        let at = self.trace.is_some().then(|| self.now());
+        if let (Some(trace), Some(at)) = (self.trace.as_mut(), at) {
+            trace.push(TraceEvent::CriticalBegin {
+                op: self.current_op,
+                lock,
+                at,
+            });
         }
     }
 
-    /// Mark the closing of a lock critical section (outermost transition is
-    /// traced; unbalanced calls saturate at zero rather than underflow).
-    pub fn end_critical(&mut self) {
-        if self.critical_depth == 1 {
-            if let Some(trace) = self.trace.as_mut() {
-                trace.push(TraceEvent::CriticalEnd {
-                    op: self.current_op,
-                });
-            }
+    /// Mark that the current op released `lock` (a call without a matching
+    /// open section is ignored).
+    pub fn end_critical(&mut self, lock: u128) {
+        let op = self.current_op;
+        let Some(idx) = self.critical.iter().position(|&s| s == (op, lock)) else {
+            return;
+        };
+        self.critical.swap_remove(idx);
+        let at = self.trace.is_some().then(|| self.now());
+        if let (Some(trace), Some(at)) = (self.trace.as_mut(), at) {
+            trace.push(TraceEvent::CriticalEnd { op, lock, at });
         }
-        self.critical_depth = self.critical_depth.saturating_sub(1);
     }
 
-    /// Whether a lock critical section is currently open on this client.
+    /// Whether the current op holds a lock critical section open.
     pub fn in_critical(&self) -> bool {
-        self.critical_depth > 0
+        self.critical.iter().any(|&(op, _)| op == self.current_op)
+    }
+
+    /// Forget every open critical section (error cleanup: a failed pipelined
+    /// run leaves no op behind to close them).
+    pub fn reset_critical(&mut self) {
+        self.critical.clear();
+    }
+
+    /// Open an atomic segment: a stretch of work the driver runs without
+    /// stepping any other op on this context.  Nests; traced on every post
+    /// as the `atomic` flag of [`TraceEvent::Post`].
+    pub fn begin_atomic(&mut self) {
+        self.atomic_depth += 1;
+    }
+
+    /// Close the innermost atomic segment.
+    pub fn end_atomic(&mut self) {
+        self.atomic_depth = self.atomic_depth.saturating_sub(1);
     }
 
     /// Start recording a [`TraceEvent`] per post and per critical-section
@@ -828,10 +871,12 @@ impl<C: FabricChannel> ClientCtx<C> {
     /// complete inline without ever parking on the CQ.
     fn trace_post(&mut self, token: u64) {
         if let Some(trace) = self.trace.as_mut() {
+            let critical = self.critical.iter().any(|&(op, _)| op == self.current_op);
             trace.push(TraceEvent::Post {
                 op: self.current_op,
                 token,
-                critical: self.critical_depth > 0,
+                critical,
+                atomic: self.atomic_depth > 0,
             });
         }
     }
@@ -924,7 +969,13 @@ impl<C: FabricChannel> ClientCtx<C> {
     /// returned with the queue untouched.  Returns `None` immediately when
     /// nothing is outstanding.
     pub fn poll(&mut self, deadline: Option<u64>) -> Option<Completion> {
-        let earliest = self.cq.iter().map(|e| e.completed_at).min()?;
+        // The first entry with the earliest time, as the wake-up below picks.
+        let (idx, earliest) = self
+            .cq
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, e)| e.completed_at)
+            .map(|(i, e)| (i, e.completed_at))?;
         if let Some(d) = deadline {
             if earliest > d {
                 self.chan.wait_until(d);
@@ -933,16 +984,14 @@ impl<C: FabricChannel> ClientCtx<C> {
         }
         // The clock's multi-completion rule: hand *every* outstanding
         // completion time to the clock and wake at the earliest.
-        let targets: Vec<u64> = self.cq.iter().map(|e| e.completed_at).collect();
+        self.poll_targets.clear();
+        self.poll_targets
+            .extend(self.cq.iter().map(|e| e.completed_at));
         let reached = self
             .chan
-            .wait_until_earliest(&targets)
+            .wait_until_earliest(&self.poll_targets)
             .expect("queue checked non-empty above");
-        let idx = self
-            .cq
-            .iter()
-            .position(|e| e.completed_at == reached)
-            .expect("reached time belongs to an outstanding completion");
+        debug_assert_eq!(reached, earliest, "the clock wakes at the earliest target");
         Some(self.cq.swap_remove(idx))
     }
 
@@ -1718,10 +1767,17 @@ mod tests {
         client.read(GlobalAddress::host(0, 2048), &mut buf).unwrap();
 
         client.set_current_op(Some(9));
-        client.begin_critical();
+        client.begin_critical(42);
+        let opened = client.now();
         assert!(client.in_critical());
+        // Sections are per op: op 7 is not inside op 9's section.
+        client.set_current_op(Some(7));
+        assert!(!client.in_critical());
+        client.set_current_op(Some(9));
+        client.begin_atomic();
         let c = client.post_read(GlobalAddress::host(0, 4096), 8).unwrap();
-        client.end_critical();
+        client.end_atomic();
+        client.end_critical(42);
         assert!(!client.in_critical());
         client.set_current_op(None);
 
@@ -1748,24 +1804,36 @@ mod tests {
                 op: Some(7),
                 token: a.id(),
                 critical: false,
+                atomic: false,
             },
             TraceEvent::Post {
                 op: Some(7),
                 token: b.id(),
                 critical: false,
+                atomic: false,
             },
             TraceEvent::Post {
                 op: None,
                 token: 0,
                 critical: false,
+                atomic: false,
             },
-            TraceEvent::CriticalBegin { op: Some(9) },
+            TraceEvent::CriticalBegin {
+                op: Some(9),
+                lock: 42,
+                at: opened,
+            },
             TraceEvent::Post {
                 op: Some(9),
                 token: c.id(),
                 critical: true,
+                atomic: true,
             },
-            TraceEvent::CriticalEnd { op: Some(9) },
+            TraceEvent::CriticalEnd {
+                op: Some(9),
+                lock: 42,
+                at: opened,
+            },
         ];
         assert_eq!(trace, expect);
     }

@@ -1,12 +1,14 @@
 //! Write-path pipelining: inserts and deletes through the split-phase
-//! scheduler keep their lock critical sections atomic (no foreign verb ever
-//! posts between a lock acquire and its release on the same fabric context),
-//! reproduce the blocking path verb-for-verb at depth 1, agree with an
-//! in-memory model on mixed workloads at every depth, and attribute every
-//! tagged completion back to the operation that posted it.
+//! scheduler yield inside their lock critical sections, yet per lock word
+//! the sections of different ops never overlap (within a client and across
+//! clients), every verb flagged critical belongs to an op holding a lock,
+//! and structural tails still run without a foreign verb.  Depth 1
+//! reproduces the blocking path verb-for-verb, mixed workloads agree with an
+//! in-memory model at every depth, and every tagged completion is
+//! attributed back to the operation that posted it.
 
 use sherman_repro::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 fn loaded_cluster(n: u64) -> (Arc<Cluster>, BTreeMap<u64, u64>) {
@@ -60,11 +62,75 @@ fn final_model(ops: &[PipelineOp], mut model: BTreeMap<u64, u64>) -> BTreeMap<u6
     model
 }
 
-/// Tentpole invariant: between a `CriticalBegin` for op A and the matching
-/// `CriticalEnd`, every verb posted on the context belongs to op A.  Checked
-/// from the verb trace at depths 1, 4 and 8 on the mixed workload.
+/// Check one client's verb trace: per lock word at most one op holds a
+/// section at a time, every post flagged critical comes from an op holding
+/// a section (and only those), and from its first to its last post inside a
+/// structural tail an op shares the context with no other op's post.
+/// Returns `(sections, tail posts)`.
+fn check_trace(trace: &[TraceEvent], label: &str) -> (u64, u64) {
+    let mut holder: HashMap<u128, Option<u64>> = HashMap::new();
+    let mut held: HashMap<Option<u64>, u32> = HashMap::new();
+    let mut sections = 0u64;
+    let mut posts: Vec<Option<u64>> = Vec::new();
+    let mut tail_span: HashMap<Option<u64>, (usize, usize)> = HashMap::new();
+    for event in trace {
+        match *event {
+            TraceEvent::CriticalBegin { op, lock, .. } => {
+                if let Some(other) = holder.insert(lock, op) {
+                    panic!("{label}: op {op:?} took lock {lock:#x} still held by op {other:?}");
+                }
+                *held.entry(op).or_default() += 1;
+                sections += 1;
+            }
+            TraceEvent::CriticalEnd { op, lock, .. } => {
+                assert_eq!(
+                    holder.remove(&lock),
+                    Some(op),
+                    "{label}: op {op:?} released lock {lock:#x} it did not hold"
+                );
+                *held.get_mut(&op).expect("a holder") -= 1;
+            }
+            TraceEvent::Post {
+                op,
+                critical,
+                atomic,
+                ..
+            } => {
+                let holds = held.get(&op).is_some_and(|&n| n > 0);
+                assert_eq!(
+                    critical, holds,
+                    "{label}: post by op {op:?} flagged critical={critical}, holds a lock={holds}"
+                );
+                if atomic {
+                    let span = tail_span.entry(op).or_insert((posts.len(), posts.len()));
+                    span.1 = posts.len();
+                }
+                posts.push(op);
+            }
+        }
+    }
+    assert!(holder.is_empty(), "{label}: sections left open: {holder:?}");
+    let mut tail_posts = 0u64;
+    for (op, (first, last)) in tail_span {
+        for (i, other) in posts[first..=last].iter().enumerate() {
+            assert_eq!(
+                *other,
+                op,
+                "{label}: op {other:?} posted (post #{}) inside op {op:?}'s structural tail",
+                first + i
+            );
+        }
+        tail_posts += (last - first + 1) as u64;
+    }
+    (sections, tail_posts)
+}
+
+/// Tentpole invariant, checked from the verb trace at depths 1, 4 and 8 on
+/// the mixed workload: critical sections yield, but never overlap on one
+/// lock word, critical posts belong to lock holders, and the structural
+/// tails (the workload's inserts split leaves) see no foreign post.
 #[test]
-fn no_foreign_verb_posts_inside_a_critical_section() {
+fn lock_sections_are_exclusive_per_word_and_tails_stay_atomic() {
     for depth in [1usize, 4, 8] {
         let (cluster, _) = loaded_cluster(1_200);
         let mut client = cluster.client(0);
@@ -75,39 +141,73 @@ fn no_foreign_verb_posts_inside_a_critical_section() {
         assert_eq!(report.results.len(), 240, "depth {depth}");
 
         let trace = client.take_verb_trace();
-        let mut sections = 0u64;
-        let mut owner: Option<Option<u64>> = None;
-        for event in &trace {
-            match *event {
-                TraceEvent::CriticalBegin { op } => {
-                    assert!(owner.is_none(), "depth {depth}: nested outermost begin");
-                    owner = Some(op);
-                    sections += 1;
-                }
-                TraceEvent::CriticalEnd { op } => {
-                    let open = owner.take().expect("end without begin");
-                    assert_eq!(open, op, "depth {depth}: section closed by a foreign op");
-                }
-                TraceEvent::Post { op, critical, .. } => {
-                    if let Some(open) = owner {
-                        assert!(critical, "depth {depth}: in-section post not flagged");
-                        assert_eq!(
-                            open, op,
-                            "depth {depth}: foreign verb posted inside op {open:?}'s \
-                             critical section"
-                        );
-                    } else {
-                        assert!(!critical, "depth {depth}: stray critical flag");
-                    }
-                }
-            }
-        }
-        assert!(owner.is_none(), "depth {depth}: critical section left open");
+        let (sections, tail_posts) = check_trace(&trace, &format!("depth {depth}"));
         assert!(
             sections >= 120,
             "depth {depth}: expected a critical section per write, saw {sections}"
         );
+        assert!(
+            tail_posts > 0,
+            "depth {depth}: the workload must split leaves"
+        );
     }
+}
+
+/// Across clients: two compute servers pipeline writes on the same hot
+/// leaves at depth 8; in virtual time no two ops ever hold one lock word at
+/// once.
+#[test]
+fn lock_sections_never_overlap_across_clients() {
+    let (cluster, _) = loaded_cluster(1_200);
+    let traces: Vec<Vec<TraceEvent>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2u16)
+            .map(|cs| {
+                let cluster = Arc::clone(&cluster);
+                scope.spawn(move || {
+                    let mut client = cluster.client(cs);
+                    client.enable_verb_trace();
+                    let ops = (0..300u64).map(|i| PipelineOp::Insert {
+                        key: (i % 40) * 3,
+                        value: u64::from(cs) << 32 | i,
+                    });
+                    client.run_pipelined(ops, 8).unwrap();
+                    client.take_verb_trace()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let mut spans: HashMap<u128, Vec<(u64, u64, usize)>> = HashMap::new();
+    for (client, trace) in traces.iter().enumerate() {
+        check_trace(trace, &format!("client {client}"));
+        let mut open: HashMap<(u128, Option<u64>), u64> = HashMap::new();
+        for event in trace {
+            match *event {
+                TraceEvent::CriticalBegin { op, lock, at } => {
+                    open.insert((lock, op), at);
+                }
+                TraceEvent::CriticalEnd { op, lock, at } => {
+                    let begin = open.remove(&(lock, op)).expect("begin before end");
+                    spans.entry(lock).or_default().push((begin, at, client));
+                }
+                TraceEvent::Post { .. } => {}
+            }
+        }
+    }
+    let mut contended = 0;
+    for (lock, mut list) in spans {
+        list.sort_unstable();
+        contended += usize::from(list.iter().any(|s| s.2 == 0) && list.iter().any(|s| s.2 == 1));
+        for pair in list.windows(2) {
+            assert!(
+                pair[1].0 >= pair[0].1,
+                "lock {lock:#x}: section {:?} overlaps {:?}",
+                pair[1],
+                pair[0]
+            );
+        }
+    }
+    assert!(contended > 0, "both clients must take the same lock words");
 }
 
 /// Depth 1 *is* the blocking write path: same posts (count and
