@@ -1,6 +1,15 @@
 //! Minimal `--key value` command-line parsing (no external dependencies).
 
 use std::collections::HashMap;
+use std::str::FromStr;
+
+/// Unwrap a parsed value, or print the error and exit with status 2.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    })
+}
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default)]
@@ -44,25 +53,53 @@ impl Args {
         self.values.get(name).map(String::as_str)
     }
 
-    /// `u64` value of `--name`, or `default`.
+    /// Value of `--name` parsed as `T`, or `default` when the flag is
+    /// absent.  A value that does not parse is an error naming the flag and
+    /// the value.
+    pub fn try_get<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.get(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("invalid value for --{name}: {v:?}")),
+        }
+    }
+
+    /// Comma-separated list value of `--name` (e.g. `--depths 1,2,4`), or
+    /// `default` when the flag is absent.  Any item that does not parse is
+    /// an error naming the flag and the item.
+    pub fn try_get_list<T: FromStr>(&self, name: &str, default: Vec<T>) -> Result<Vec<T>, String> {
+        match self.get(name) {
+            None => Ok(default),
+            Some(v) => v
+                .split(',')
+                .map(|item| {
+                    item.parse()
+                        .map_err(|_| format!("invalid value for --{name}: {item:?} in {v:?}"))
+                })
+                .collect(),
+        }
+    }
+
+    /// `u64` value of `--name`, or `default`; exits on an unparseable value.
     pub fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        or_exit(self.try_get(name, default))
     }
 
-    /// `usize` value of `--name`, or `default`.
+    /// `usize` value of `--name`, or `default`; exits on an unparseable value.
     pub fn get_usize(&self, name: &str, default: usize) -> usize {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        or_exit(self.try_get(name, default))
     }
 
-    /// `f64` value of `--name`, or `default`.
+    /// `f64` value of `--name`, or `default`; exits on an unparseable value.
     pub fn get_f64(&self, name: &str, default: f64) -> f64 {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        or_exit(self.try_get(name, default))
+    }
+
+    /// `usize` list value of `--name`, or `default`; exits on an unparseable
+    /// item.
+    pub fn get_usize_list(&self, name: &str, default: Vec<usize>) -> Vec<usize> {
+        or_exit(self.try_get_list(name, default))
     }
 
     /// Common scale factor: `--quick` shrinks experiments for smoke runs.
@@ -90,6 +127,38 @@ mod tests {
         assert!(a.quick());
         assert_eq!(a.get_u64("missing", 7), 7);
         assert!(!a.flag("verbose"));
+    }
+
+    #[test]
+    fn unparseable_values_are_errors_naming_the_flag_and_value() {
+        let a = parse("--threads abc --theta x --ops 7");
+        assert_eq!(
+            a.try_get::<usize>("threads", 8),
+            Err("invalid value for --threads: \"abc\"".to_string())
+        );
+        assert_eq!(
+            a.try_get::<u64>("threads", 8),
+            Err("invalid value for --threads: \"abc\"".to_string())
+        );
+        let theta = a.try_get::<f64>("theta", 0.5).unwrap_err();
+        assert!(
+            theta.contains("--theta") && theta.contains("\"x\""),
+            "{theta}"
+        );
+        assert_eq!(a.try_get::<usize>("ops", 1), Ok(7));
+        assert_eq!(a.try_get::<usize>("missing", 3), Ok(3));
+    }
+
+    #[test]
+    fn lists_parse_every_item_or_fail_naming_the_bad_one() {
+        let a = parse("--depths 1,2,8 --bad 1,x,4");
+        assert_eq!(a.try_get_list::<usize>("depths", vec![]), Ok(vec![1, 2, 8]));
+        assert_eq!(a.get_usize_list("depths", vec![]), vec![1, 2, 8]);
+        assert_eq!(a.get_usize_list("missing", vec![4]), vec![4]);
+        assert_eq!(
+            a.try_get_list::<usize>("bad", vec![]),
+            Err("invalid value for --bad: \"x\" in \"1,x,4\"".to_string())
+        );
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! Drives a windowed insert/delete workload until the live key set has turned
 //! over `--turnover` times (default 10×), comparing Sherman with structural
-//! deletes under **epoch-based reclamation** (the default), the same tree
-//! under the deprecated grace-period fallback, and the paper's grow-only
+//! deletes under **epoch-based reclamation** against the paper's grow-only
 //! behaviour.  Reports throughput, merge/reclaim counters — including the
 //! merge **direction** split (left merges fold a rightmost child into its
 //! left sibling) — space amplification (node addresses carved per live
@@ -26,7 +25,7 @@
 //! typestate publish path bypassed), messages still pending after every
 //! server quiesced, or stale cache hits served after the drain.
 
-use sherman::{ReclaimScheme, TreeOptions};
+use sherman::TreeOptions;
 use sherman_bench::{
     fmt_mops, print_table, run_churn_experiment, run_churn_experiment_on, Args, ChurnExperiment,
     ChurnResult,
@@ -52,20 +51,15 @@ fn main() {
         return;
     }
     let systems = [
-        ("merges-on/epochs", TreeOptions::sherman(), ReclaimScheme::Epoch),
-        ("merges-on/grace", TreeOptions::sherman(), ReclaimScheme::GracePeriod),
-        (
-            "merges-off",
-            TreeOptions::sherman().without_structural_deletes(),
-            ReclaimScheme::Epoch,
-        ),
+        ("merges-on/epochs", TreeOptions::sherman()),
+        ("merges-off", TreeOptions::sherman().without_structural_deletes()),
     ];
 
     println!("Churn: sliding-window insert/delete; reclamation schemes vs grow-only");
     let mut rows = Vec::new();
     let mut timelines = Vec::new();
-    for (name, options, scheme) in systems {
-        let exp = configure(&args, name, options, scheme);
+    for (name, options) in systems {
+        let exp = configure(&args, name, options);
         let r = run(&args, &exp);
         timelines.push((r.name.clone(), r.shape_timeline.clone()));
         rows.push(vec![
@@ -145,17 +139,8 @@ fn main() {
     println!(" carved node counts, which scale with turnover instead of the window size)");
 }
 
-fn configure(
-    args: &Args,
-    name: &str,
-    options: TreeOptions,
-    scheme: ReclaimScheme,
-) -> ChurnExperiment {
+fn configure(args: &Args, name: &str, options: TreeOptions) -> ChurnExperiment {
     let mut exp = ChurnExperiment::default_scaled(name, options);
-    if scheme == ReclaimScheme::GracePeriod {
-        let grace = exp.tree.reclaim_grace_ns;
-        exp.tree = exp.tree.with_grace_reclamation(grace);
-    }
     exp.window = args.get_u64("window", exp.window);
     exp.turnover = args.get_f64("turnover", exp.turnover);
     exp.threads = args.get_usize("threads", exp.threads);
@@ -169,7 +154,7 @@ fn configure(
 
 /// CI gate: one quick merges-on run; non-zero exit on structural regression.
 fn smoke(args: &Args) {
-    let exp = configure(args, "smoke/epochs", TreeOptions::sherman(), ReclaimScheme::Epoch);
+    let exp = configure(args, "smoke/epochs", TreeOptions::sherman());
     let r = run(args, &exp);
     println!(
         "churn smoke: turnovers={:.1} space_amp={:.2} merges={} left_merges={} \

@@ -27,9 +27,13 @@
 //! than tolerances: at depth 8 at least one write must take its lock by
 //! local HOCL handover, and the tree must match the model afterwards.
 
-use sherman::{Cluster, ClusterConfig, OpOutput, PipelineOp, TreeConfig, TreeOptions};
-use sherman_bench::{fmt_mops, fmt_us, print_table, run_pipeline_experiment, Args, PipelineExperiment};
-use sherman_sim::FabricConfig;
+use sherman::{OpOutput, PipelineOp, TreeConfig, TreeOptions};
+use sherman_bench::driver::{deploy, fabric_config};
+use sherman_bench::{
+    fmt_mops, fmt_us, print_table, run_pipeline_experiment, Args, DrivePath, ExperimentResult,
+    PipelineExperiment,
+};
+use sherman_sim::Fabric;
 use sherman_workload::{KeyDistribution, Mix, Op, WorkloadSpec};
 use std::collections::BTreeSet;
 
@@ -39,17 +43,15 @@ fn main() {
         smoke(&args);
         return;
     }
-    let depths: Vec<usize> = args
-        .get("depths")
-        .map(|s| s.split(',').filter_map(|d| d.parse().ok()).collect())
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
+    let depths = args.get_usize_list("depths", vec![1, 2, 4, 8]);
 
     println!("Pipeline: split-phase read scheduler, in-flight depth sweep (uniform lookups)");
-    let blocking = run_pipeline_experiment(&configure(&args, "blocking", 0));
+    let blocking = run_pipeline_experiment(&configure(&args, "blocking", DrivePath::Blocking));
     let base = blocking.summary.throughput_ops;
     let mut rows = vec![row(&blocking, base)];
     for &depth in &depths {
-        let result = run_pipeline_experiment(&configure(&args, &format!("depth-{depth}"), depth));
+        let drive = DrivePath::Pipelined(depth);
+        let result = run_pipeline_experiment(&configure(&args, &format!("depth-{depth}"), drive));
         rows.push(row(&result, base));
     }
     print_table(
@@ -72,8 +74,8 @@ fn main() {
     println!("overlap-x    = serial verb time / elapsed time (how many RTTs were hidden)");
 }
 
-fn configure(args: &Args, name: &str, depth: usize) -> PipelineExperiment {
-    let mut exp = PipelineExperiment::default_scaled(name, depth);
+fn configure(args: &Args, name: &str, drive: DrivePath) -> PipelineExperiment {
+    let mut exp = PipelineExperiment::default_scaled(name, drive);
     exp.threads = args.get_usize("threads", exp.threads);
     exp.key_space = args.get_u64("keys", exp.key_space);
     exp.ops_per_thread = args.get_usize("ops", exp.ops_per_thread);
@@ -86,7 +88,7 @@ fn configure(args: &Args, name: &str, depth: usize) -> PipelineExperiment {
     exp
 }
 
-fn row(result: &sherman_bench::PipelineResult, base: f64) -> Vec<String> {
+fn row(result: &ExperimentResult, base: f64) -> Vec<String> {
     vec![
         result.name.clone(),
         fmt_mops(result.summary.throughput_ops),
@@ -129,9 +131,12 @@ fn smoke_case(
         exp.insert_pct = insert_pct;
         exp
     };
-    let blocking = run_pipeline_experiment(&with_writes(configure(args, "blocking", 0)));
-    let depth1 = run_pipeline_experiment(&with_writes(configure(args, "depth-1", 1)));
-    let depth4 = run_pipeline_experiment(&with_writes(configure(args, "depth-4", 4)));
+    let run = |name: &str, drive: DrivePath| {
+        run_pipeline_experiment(&with_writes(configure(args, name, drive)))
+    };
+    let blocking = run("blocking", DrivePath::Blocking);
+    let depth1 = run("depth-1", DrivePath::Pipelined(1));
+    let depth4 = run("depth-4", DrivePath::Pipelined(4));
 
     let equivalence = depth1.summary.throughput_ops / blocking.summary.throughput_ops;
     let speedup = depth4.summary.throughput_ops / depth1.summary.throughput_ops;
@@ -189,20 +194,15 @@ fn smoke_skewed_writes(failures: &mut Vec<String>) {
         update_fraction: 1.0,
     };
     spec.validate().expect("valid skewed workload");
+    // `deploy` bulkloads every key with the value `k * 3 + 1`.
     let old = |k: u64| k * 3 + 1;
     let new = |k: u64| k * 5 + 7;
-    let config = ClusterConfig {
-        fabric: FabricConfig {
-            memory_servers: 4,
-            compute_servers: 2,
-            ..FabricConfig::default()
-        },
-        tree: TreeConfig::default(),
-    };
-    let cluster = Cluster::new(config, TreeOptions::sherman());
-    cluster
-        .bulkload((0..spec.key_space).map(|k| (k, old(k))))
-        .expect("bulkload");
+    let cluster = deploy::<Fabric>(
+        fabric_config(4, 2),
+        TreeConfig::default(),
+        TreeOptions::sherman(),
+        0..spec.key_space,
+    );
     let mut gen = spec.generator(0);
     let ops: Vec<PipelineOp> = (0..4_000)
         .map(|_| match gen.next_op() {

@@ -21,7 +21,8 @@
 
 use sherman_bench::{
     fmt_mops, fmt_us, hostile_suite, print_table, run_scenario_experiment,
-    run_scenario_experiment_on, Args, MemoryPressure, ScenarioExperiment, ScenarioResult,
+    run_scenario_experiment_on, Args, DrivePath, MemoryPressure, ScenarioExperiment,
+    ScenarioResult,
 };
 use sherman_sim::ThreadedFabric;
 
@@ -46,8 +47,9 @@ fn main() {
 
     println!("Scenario: hostile workloads under adaptive memory pressure");
     let mut rows = Vec::new();
-    for depth in [0usize, args.get_usize("depth", 4)] {
-        for exp in hostile_suite(depth) {
+    let depth = args.get_usize("depth", 4);
+    for drive in [DrivePath::Blocking, DrivePath::Pipelined(depth)] {
+        for exp in hostile_suite(drive) {
             let exp = configure(&args, exp);
             let r = run(&args, &exp);
             rows.push(row(&r));
@@ -167,8 +169,8 @@ fn gate(r: &ScenarioResult, failures: &mut Vec<String>) {
 /// exit on any invariant violation.
 fn smoke(args: &Args) {
     let mut failures = Vec::new();
-    for depth in [0usize, 4] {
-        for exp in hostile_suite(depth) {
+    for drive in [DrivePath::Blocking, DrivePath::Pipelined(4)] {
+        for exp in hostile_suite(drive) {
             let exp = configure(args, exp);
             let r = run(args, &exp);
             println!(

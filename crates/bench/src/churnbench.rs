@@ -15,20 +15,19 @@
 //!   retire / reuse counters,
 //! * **reclaim latency** — the virtual-time distance from a node address's
 //!   retirement to its reuse.  Under epoch-based reclamation this tracks the
-//!   workload's own allocation cadence (near-zero when idle); under the
-//!   deprecated grace-period fallback it is bounded below by the configured
-//!   `reclaim_grace_ns`, whatever the readers are actually doing.
+//!   workload's own allocation cadence (near-zero when idle), not any fixed
+//!   quarantine constant.
 
-use sherman::{Cluster, ClusterConfig, NodeCensus, ShapeAudit, TreeConfig, TreeOptions};
+use crate::driver::{deploy, drive_ops, fabric_config, spawn_clients, to_pipeline_op, DrivePath};
+use sherman::{NodeCensus, OpOutput, PipelineOp, ShapeAudit, TreeConfig, TreeOptions};
 use sherman_memserver::FreeListStats;
 use sherman_metrics::{
     CoherenceGauges, LatencyHistogram, RunSummary, SpaceSnapshot, ThreadReport,
     ThroughputAggregator,
 };
-use sherman_sim::{Fabric, FabricBackend, FabricConfig};
-use sherman_workload::{ChurnSpec, Op};
+use sherman_sim::{Fabric, FabricBackend};
+use sherman_workload::ChurnSpec;
 use std::sync::Arc;
-use std::thread;
 
 /// A fully-specified churn experiment.
 #[derive(Debug, Clone)]
@@ -177,34 +176,25 @@ pub fn run_churn_experiment_on<B: FabricBackend>(exp: &ChurnExperiment) -> Churn
     spec.validate().expect("invalid churn workload");
     let ops_per_thread = spec.ops_per_thread_for_turnover(exp.turnover);
 
-    let cluster_config = ClusterConfig {
-        fabric: FabricConfig {
-            memory_servers: exp.memory_servers,
-            compute_servers: exp.compute_servers,
-            ..FabricConfig::default()
-        },
-        tree: exp.tree.clone(),
-    };
-    let cluster = Cluster::<B>::new_on(cluster_config, exp.options);
     // Churn starts from an empty tree: the warm-up phase of every generator
     // fills the window through the ordinary insert path.
-    cluster.bulkload(std::iter::empty()).expect("bulkload");
+    let cluster = deploy::<B>(
+        fabric_config(exp.memory_servers, exp.compute_servers),
+        exp.tree.clone(),
+        exp.options,
+        std::iter::empty(),
+    );
 
-    let start_time = cluster.fabric().now();
-    let barrier = Arc::new(std::sync::Barrier::new(exp.threads));
-    let mut handles = Vec::new();
-    for t in 0..exp.threads {
-        let cluster = Arc::clone(&cluster);
-        let spec = spec.clone();
-        let barrier = Arc::clone(&barrier);
-        let cs = (t % exp.compute_servers) as u16;
-        handles.push(thread::spawn(move || {
-            let mut client = cluster.client(cs);
+    let connect = Arc::clone(&cluster);
+    let monitor = Arc::clone(&cluster);
+    let (outcomes, elapsed) = spawn_clients(
+        cluster.fabric(),
+        exp.threads,
+        move |cs| connect.client(cs),
+        move |t, mut client| {
             let mut gen = spec.generator(t as u64);
-            barrier.wait();
-            let mut ops = 0u64;
             let mut latency = LatencyHistogram::new();
-            // Thread 0 doubles as the shape monitor: every so often it takes
+            // Thread 0 doubles as the shape monitor: between batches it takes
             // an incremental (per-level sampled, rotating-window) audit so
             // the bench can report shape health *during* the churn, not just
             // after quiesce.  God-mode reads charge no virtual time, so the
@@ -213,49 +203,48 @@ pub fn run_churn_experiment_on<B: FabricBackend>(exp: &ChurnExperiment) -> Churn
             const SHAPE_WINDOW: usize = 16;
             let sample_every = (ops_per_thread / SHAPE_SAMPLES).max(1);
             let mut shape_timeline = Vec::new();
-            for i in 0..ops_per_thread {
-                if t == 0 && i > 0 && i % sample_every == 0 {
+            let mut done = 0;
+            while done < ops_per_thread {
+                if t == 0 && done > 0 {
                     let skip = shape_timeline.len() * SHAPE_WINDOW;
-                    if let Ok(sample) = cluster.shape_audit_sampled(SHAPE_WINDOW, skip) {
+                    if let Ok(sample) = monitor.shape_audit_sampled(SHAPE_WINDOW, skip) {
                         shape_timeline.push(sample);
                     }
                 }
-                let op = gen.next_op();
-                let stats = match op {
-                    Op::Lookup { key } => {
-                        let (value, s) = client.lookup(key).expect("lookup");
-                        assert!(value.is_some(), "live key {key} must be present");
-                        s
+                let n = sample_every.min(ops_per_thread - done);
+                let ops = (0..n).map(|_| to_pipeline_op(gen.next_op()));
+                let driven = drive_ops(&mut client, ops, DrivePath::Blocking).expect("churn op");
+                for r in &driven.results {
+                    match (r.op, &r.output) {
+                        (PipelineOp::Lookup { key }, OpOutput::Lookup(None)) => {
+                            panic!("live key {key} must be present")
+                        }
+                        (PipelineOp::Delete { key }, OpOutput::Delete(false)) => {
+                            panic!("windowed key {key} deleted twice")
+                        }
+                        _ => latency.record(r.latency_ns),
                     }
-                    Op::Insert { key, value } => client.insert(key, value).expect("insert"),
-                    Op::Delete { key } => {
-                        let (existed, s) = client.delete(key).expect("delete");
-                        assert!(existed, "windowed key {key} deleted twice");
-                        s
-                    }
-                    Op::Range { start_key, count } => {
-                        client.range(start_key, count as usize).expect("range").1
-                    }
-                };
-                ops += 1;
-                latency.record(stats.latency_ns);
+                }
+                done += n;
             }
-            (ThreadReport { ops, latency }, gen.turnovers(), shape_timeline)
-        }));
-    }
+            let report = ThreadReport {
+                ops: done as u64,
+                latency,
+            };
+            (report, gen.turnovers(), shape_timeline)
+        },
+    );
 
     let mut agg = ThroughputAggregator::new();
     let mut min_turnovers = f64::INFINITY;
     let mut shape_timeline = Vec::new();
-    for h in handles {
-        let (report, turnovers, timeline) = h.join().expect("churn worker panicked");
+    for (report, turnovers, timeline) in outcomes {
         agg.add(&report);
         min_turnovers = min_turnovers.min(turnovers);
         if !timeline.is_empty() {
             shape_timeline = timeline;
         }
     }
-    let elapsed = cluster.fabric().now().saturating_sub(start_time).max(1);
 
     // Close the stale window: every compute server waits out and applies its
     // in-flight coherence backlog, then re-reads the whole key space.  Stale
@@ -321,7 +310,6 @@ mod tests {
                 node_size: 256,
                 cache_bytes: 1 << 20,
                 chunk_bytes: 64 << 10,
-                reclaim_grace_ns: 10_000,
                 ..TreeConfig::default()
             },
             ..ChurnExperiment::default_scaled("tiny-churn", options)
@@ -398,42 +386,17 @@ mod tests {
 
     #[test]
     fn ebr_decouples_reclaim_latency_from_the_grace_constant() {
-        // Same churn, two reclamation schemes.  The fallback's quarantine is
-        // set high enough to dominate the run's natural allocation cadence.
+        // A fixed 500 µs quarantine would dominate this run's natural
+        // allocation cadence.  EBR has no such floor: with short operations
+        // pinning and unpinning continuously, at least some addresses recycle
+        // well inside that window.
         let grace_ns = 500_000u64;
         let ebr = run_churn_experiment(&tiny(TreeOptions::sherman()));
-        let mut grace_exp = tiny(TreeOptions::sherman());
-        grace_exp.tree = grace_exp.tree.clone().with_grace_reclamation(grace_ns);
-        let grace = run_churn_experiment(&grace_exp);
-
         assert!(ebr.reclaim.reused > 0);
-        // Structural lower bound of the fallback: no address can come back
-        // before its window elapses, so even the *fastest* reuse waited the
-        // full `grace_ns`.
-        if grace.reclaim.reused > 0 {
-            assert!(
-                grace.reclaim.reclaim_latency_min_ns >= grace_ns,
-                "grace scheme reused below its own window: {} < {grace_ns}",
-                grace.reclaim.reclaim_latency_min_ns
-            );
-        }
-        // EBR has no such floor: with short operations pinning and unpinning
-        // continuously, at least some addresses recycle well inside the
-        // window the fallback would have imposed.
         assert!(
             ebr.reclaim.reclaim_latency_min_ns < grace_ns,
-            "EBR min reclaim latency {}ns should undercut the {grace_ns}ns grace window",
+            "EBR min reclaim latency {}ns should undercut a {grace_ns}ns window",
             ebr.reclaim.reclaim_latency_min_ns
-        );
-        // And promptness buys footprint: the carved-node count under EBR is
-        // no worse than under the slow-recycling fallback.  Allow 10% slack —
-        // reuse timing shifts which servers nodes land on, and that placement
-        // noise can nudge near-equal footprints either way.
-        assert!(
-            ebr.nodes_carved <= grace.nodes_carved + grace.nodes_carved / 10,
-            "EBR carved {} vs grace {}",
-            ebr.nodes_carved,
-            grace.nodes_carved
         );
     }
 

@@ -1,11 +1,11 @@
 //! Raw fabric microbenchmark: `RDMA_WRITE` throughput versus IO size
 //! (Figure 3 of the paper).
 
+use crate::driver::{fabric_config, spawn_clients};
 use sherman_metrics::RunSummary;
 use sherman_metrics::{LatencyHistogram, ThreadReport, ThroughputAggregator};
-use sherman_sim::{Fabric, FabricConfig, GlobalAddress, WriteCmd};
+use sherman_sim::{Fabric, GlobalAddress, WriteCmd};
 use std::sync::Arc;
-use std::thread;
 
 /// Number of `RDMA_WRITE` work requests posted per doorbell, modeling the
 /// multiple outstanding WQEs a real throughput benchmark keeps in flight
@@ -34,20 +34,13 @@ pub fn run_write_size_sweep(
     sizes
         .iter()
         .map(|&io_bytes| {
-            let fabric = Fabric::new(FabricConfig {
-                memory_servers: 1,
-                compute_servers,
-                ..FabricConfig::default()
-            });
-            let start = fabric.now();
-            let barrier = Arc::new(std::sync::Barrier::new(threads));
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let fabric = Arc::clone(&fabric);
-                let barrier = Arc::clone(&barrier);
-                handles.push(thread::spawn(move || {
-                    let mut client = fabric.client((t % compute_servers) as u16);
-                    barrier.wait();
+            let fabric = Fabric::new(fabric_config(1, compute_servers));
+            let connect = Arc::clone(&fabric);
+            let (reports, elapsed) = spawn_clients(
+                &fabric,
+                threads,
+                move |cs| connect.client(cs),
+                move |t, mut client| {
                     let payload = vec![0xA5u8; io_bytes];
                     // Each thread writes to its own disjoint region so that no
                     // higher-level synchronization is involved.
@@ -57,8 +50,8 @@ pub fn run_write_size_sweep(
                     for i in 0..batches {
                         let cmds: Vec<WriteCmd> = (0..WRITES_PER_DOORBELL)
                             .map(|j| {
-                                let off =
-                                    base + (((i * WRITES_PER_DOORBELL + j) * io_bytes) % 16_384) as u64;
+                                let off = base
+                                    + (((i * WRITES_PER_DOORBELL + j) * io_bytes) % 16_384) as u64;
                                 WriteCmd::new(GlobalAddress::host(0, off), payload.clone())
                             })
                             .collect();
@@ -70,13 +63,12 @@ pub fn run_write_size_sweep(
                         ops: (batches * WRITES_PER_DOORBELL) as u64,
                         latency,
                     }
-                }));
-            }
+                },
+            );
             let mut agg = ThroughputAggregator::new();
-            for h in handles {
-                agg.add(&h.join().expect("fabric bench thread panicked"));
+            for report in &reports {
+                agg.add(report);
             }
-            let elapsed = fabric.now().saturating_sub(start).max(1);
             WriteSizePoint {
                 io_bytes,
                 summary: agg.finish(elapsed),

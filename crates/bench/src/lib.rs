@@ -3,6 +3,12 @@
 //! One binary per table/figure of the Sherman paper (see `src/bin/`), all built
 //! on the shared runners in this library:
 //!
+//! * [`driver`] — the one client driver every runner below is built on:
+//!   [`driver::deploy`] brings up and bulkloads a cluster,
+//!   [`driver::spawn_clients`] runs N client threads from a common start
+//!   line, and [`driver::drive_ops`] issues a client's operations along a
+//!   [`DrivePath`] (blocking, or the pipelined scheduler at some depth),
+//!   handing every operation back as one record type,
 //! * [`runner`] — end-to-end tree experiments: bulkload a cluster, drive it
 //!   with a YCSB-style workload from many client threads, and report
 //!   throughput, latency percentiles and the internal distributions used by
@@ -26,14 +32,14 @@
 //!   binaries (every experiment parameter can be overridden).
 //!
 //! All numbers are measured in the fabric simulator's virtual time; see
-//! DESIGN.md for the calibration and EXPERIMENTS.md for paper-vs-measured
-//! comparisons.
+//! `docs/ARCHITECTURE.md` (§ The virtual clock) for the cost model.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod args;
 pub mod churnbench;
+pub mod driver;
 pub mod fabricbench;
 pub mod lockbench;
 pub mod offloadbench;
@@ -51,7 +57,8 @@ pub use fabricbench::{run_write_size_sweep, WriteSizePoint};
 pub use lockbench::{run_lock_experiment, LockExperiment, LockVariant};
 pub use offloadbench::{run_offload_experiment, OffloadExperiment, OffloadResult};
 pub use report::{fmt_mops, fmt_us, print_table};
+pub use driver::DrivePath;
 pub use runner::{
-    run_pipeline_experiment, run_tree_experiment, DrivePath, ExperimentResult,
-    PipelineExperiment, PipelineResult, TreeExperiment,
+    run_pipeline_experiment, run_tree_experiment, ExperimentResult, PipelineExperiment,
+    TreeExperiment,
 };

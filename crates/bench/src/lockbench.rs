@@ -5,16 +5,16 @@
 //! paper's experiments (§3.2.2: "154 threads across 7 CSs acquire/release
 //! 10240 locks residing in an MS"; §5.7: "176 threads across 8 CSs ...").
 
+use crate::driver::{fabric_config, spawn_clients};
 use sherman_locks::{
     GlobalLockKind, GlobalLockTable, HoclManager, HoclOptions, NodeLockManager,
     RemoteLockManager,
 };
 use sherman_memserver::MemoryPool;
 use sherman_metrics::{LatencyHistogram, RunSummary, ThreadReport, ThroughputAggregator};
-use sherman_sim::{Fabric, FabricConfig, GlobalAddress};
+use sherman_sim::{Fabric, GlobalAddress};
 use sherman_workload::ZipfianGenerator;
 use std::sync::Arc;
-use std::thread;
 
 /// Which rung of the lock-design ladder to measure (Figure 16's x-axis; the
 /// first rung alone, swept over skew, is Figure 2).
@@ -126,29 +126,17 @@ fn slot_address(slot: u64) -> GlobalAddress {
 /// Run one lock microbenchmark and summarize throughput and latency of the
 /// acquire→release cycle.
 pub fn run_lock_experiment(exp: &LockExperiment) -> RunSummary {
-    let fabric = Fabric::new(FabricConfig {
-        memory_servers: 1,
-        compute_servers: exp.compute_servers,
-        ..FabricConfig::default()
-    });
+    let fabric = Fabric::new(fabric_config(1, exp.compute_servers));
     let pool = MemoryPool::new(Arc::clone(&fabric), 1 << 20);
-    let service = Arc::new(Service::build(exp.variant, &pool, exp.compute_servers));
+    let service = Service::build(exp.variant, &pool, exp.compute_servers);
 
-    let start = fabric.now();
-    // All workers must have registered with the virtual clock before any of
-    // them starts issuing operations; otherwise early threads run their whole
-    // workload uncontended and the experiment measures nothing.
-    let barrier = Arc::new(std::sync::Barrier::new(exp.threads));
-    let mut handles = Vec::new();
-    for t in 0..exp.threads {
-        let fabric = Arc::clone(&fabric);
-        let service = Arc::clone(&service);
-        let barrier = Arc::clone(&barrier);
-        let exp = exp.clone();
-        handles.push(thread::spawn(move || {
-            let cs = (t % exp.compute_servers) as u16;
-            let mut client = fabric.client(cs);
-            barrier.wait();
+    let connect = Arc::clone(&fabric);
+    let exp = exp.clone();
+    let (reports, elapsed) = spawn_clients(
+        &fabric,
+        exp.threads,
+        move |cs| connect.client(cs),
+        move |t, mut client| {
             let zipf = ZipfianGenerator::new(exp.locks, exp.theta);
             let mut rng = {
                 use rand::SeedableRng;
@@ -159,7 +147,7 @@ pub fn run_lock_experiment(exp: &LockExperiment) -> RunSummary {
                 let slot = zipf.next_rank(&mut rng);
                 let node = slot_address(slot);
                 let t0 = client.now();
-                match service.as_ref() {
+                match &service {
                     Service::Direct(mgr) => {
                         mgr.acquire(&mut client, node).expect("acquire");
                         client.charge_cpu(exp.hold_ns);
@@ -179,13 +167,12 @@ pub fn run_lock_experiment(exp: &LockExperiment) -> RunSummary {
                 ops: exp.ops_per_thread as u64,
                 latency,
             }
-        }));
-    }
+        },
+    );
     let mut agg = ThroughputAggregator::new();
-    for h in handles {
-        agg.add(&h.join().expect("lock bench thread panicked"));
+    for report in &reports {
+        agg.add(report);
     }
-    let elapsed = fabric.now().saturating_sub(start).max(1);
     agg.finish(elapsed)
 }
 

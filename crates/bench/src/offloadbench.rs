@@ -10,12 +10,12 @@
 //! Results carry the [`OffloadGauges`] so a sweep can show not just *which*
 //! policy won a regime but *what it decided* to get there.
 
-use sherman::{Cluster, ClusterConfig, OffloadPolicy, TreeConfig, TreeOptions};
+use crate::driver::{deploy, drive_ops, fabric_config, spawn_clients, to_pipeline_op, DrivePath};
+use sherman::{OffloadPolicy, TreeConfig, TreeOptions};
 use sherman_metrics::{LatencyHistogram, OffloadGauges, RunSummary, ThreadReport, ThroughputAggregator};
-use sherman_sim::FabricConfig;
-use sherman_workload::{KeyDistribution, Mix, Op, WorkloadSpec};
+use sherman_sim::Fabric;
+use sherman_workload::{KeyDistribution, Mix, WorkloadSpec};
 use std::sync::Arc;
-use std::thread;
 
 /// A fully-specified offload experiment: one (regime, policy) point.
 #[derive(Debug, Clone)]
@@ -130,81 +130,53 @@ pub fn run_offload_experiment(exp: &OffloadExperiment) -> OffloadResult {
     let spec = exp.workload();
     spec.validate().expect("invalid offload workload");
 
-    let mut fabric = FabricConfig {
-        memory_servers: exp.memory_servers,
-        compute_servers: exp.compute_servers,
-        ..FabricConfig::default()
-    };
+    let mut fabric = fabric_config(exp.memory_servers, exp.compute_servers);
     if let Some(rtt) = exp.base_rtt_ns {
         fabric.base_rtt_ns = rtt;
     }
-    let cluster_config = ClusterConfig {
-        fabric,
-        tree: exp.tree.clone(),
-    };
     let options = exp.options.with_offload(exp.policy);
-    let cluster = Cluster::new(cluster_config, options);
-    cluster
-        .bulkload(spec.bulkload_iter().map(|k| (k, k.wrapping_mul(3) + 1)))
-        .expect("bulkload");
+    let cluster = deploy::<Fabric>(fabric, exp.tree.clone(), options, spec.bulkload_iter());
     if exp.cold_start {
         for cs in 0..exp.compute_servers {
             cluster.cache(cs as u16).clear();
         }
     }
 
-    let start_time = cluster.fabric().now();
-    let barrier = Arc::new(std::sync::Barrier::new(exp.threads));
-    let mut handles = Vec::new();
-    for t in 0..exp.threads {
-        let cluster = Arc::clone(&cluster);
-        let spec = spec.clone();
-        let barrier = Arc::clone(&barrier);
-        let cs = (t % exp.compute_servers) as u16;
-        let ops_per_thread = exp.ops_per_thread;
-        handles.push(thread::spawn(move || {
-            let mut client = cluster.client(cs);
+    let ops_per_thread = exp.ops_per_thread;
+    let connect = Arc::clone(&cluster);
+    let (outcomes, elapsed) = spawn_clients(
+        cluster.fabric(),
+        exp.threads,
+        move |cs| connect.client(cs),
+        move |t, mut client| {
             let mut gen = spec.generator(t as u64);
-            let keys: Vec<u64> = (0..ops_per_thread)
-                .map(|_| match gen.next_op() {
-                    Op::Lookup { key } => key,
-                    other => unreachable!("lookup-only mix produced {other:?}"),
-                })
-                .collect();
-            barrier.wait();
-
+            let ops = (0..ops_per_thread).map(|_| to_pipeline_op(gen.next_op()));
+            let driven = drive_ops(&mut client, ops, DrivePath::Blocking).expect("lookup");
             let mut latency = LatencyHistogram::new();
-            let mut cache_hits = 0u64;
-            let mut round_trips = 0u64;
-            for &key in &keys {
-                let (_, stats) = client.lookup(key).expect("lookup");
-                latency.record(stats.latency_ns);
-                round_trips += stats.round_trips;
-                if stats.cache_hit {
+            let (mut cache_hits, mut round_trips) = (0u64, 0u64);
+            for r in &driven.results {
+                latency.record(r.latency_ns);
+                round_trips += r.round_trips;
+                if r.cache_hit {
                     cache_hits += 1;
                 }
             }
-            (
-                ThreadReport {
-                    ops: ops_per_thread as u64,
-                    latency,
-                },
-                cache_hits,
-                round_trips,
-            )
-        }));
-    }
+            let report = ThreadReport {
+                ops: driven.results.len() as u64,
+                latency,
+            };
+            (report, cache_hits, round_trips)
+        },
+    );
 
     let mut agg = ThroughputAggregator::new();
     let mut cache_hits = 0u64;
     let mut round_trips = 0u64;
-    for h in handles {
-        let (report, hits, rts) = h.join().expect("offload worker panicked");
-        agg.add(&report);
+    for (report, hits, rts) in &outcomes {
+        agg.add(report);
         cache_hits += hits;
         round_trips += rts;
     }
-    let elapsed = cluster.fabric().now().saturating_sub(start_time).max(1);
     let total_ops = (exp.threads * exp.ops_per_thread) as u64;
     OffloadResult {
         name: exp.name.clone(),

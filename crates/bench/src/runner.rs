@@ -3,18 +3,16 @@
 //! split-phase scheduler's in-flight depth over read-only and mixed
 //! read/write workloads.
 
-use sherman::{
-    Cluster, ClusterConfig, OpStats, PipelineOp, PipelinedResult, TreeConfig, TreeOptions,
-};
+use crate::driver::{deploy, drive_ops, fabric_config, spawn_clients, to_pipeline_op, DrivePath};
+use sherman::{Cluster, PipelineOp, PipelinedResult, TreeConfig, TreeOptions};
 use sherman_metrics::{
     CountHistogram, LatencyHistogram, OverlapGauges, RunSummary, SizeHistogram, ThreadReport,
     ThroughputAggregator,
 };
 use sherman_sim::metrics::MetricsSnapshot;
-use sherman_sim::FabricConfig;
-use sherman_workload::{KeyDistribution, Mix, Op, WorkloadSpec};
+use sherman_sim::Fabric;
+use sherman_workload::{KeyDistribution, Mix, WorkloadSpec};
 use std::sync::Arc;
-use std::thread;
 
 /// A fully-specified tree experiment.
 #[derive(Debug, Clone)]
@@ -39,6 +37,8 @@ pub struct TreeExperiment {
     pub distribution: KeyDistribution,
     /// Entries returned per range query.
     pub range_size: u64,
+    /// How each client issues its operations.
+    pub drive: DrivePath,
     /// Technique selection (the ablation axis).
     pub options: TreeOptions,
     /// Tree geometry.
@@ -61,6 +61,7 @@ impl TreeExperiment {
             mix: Mix::WRITE_INTENSIVE,
             distribution: KeyDistribution::ScrambledZipfian { theta: 0.99 },
             range_size: 100,
+            drive: DrivePath::Blocking,
             options,
             tree: TreeConfig::default(),
             seed: 0x5EED,
@@ -91,34 +92,12 @@ impl TreeExperiment {
     }
 }
 
-/// Which execution path `run_tree_experiment`'s measured phase used — the
-/// result reports it so a depth that silently degraded to blocking (the old
-/// behaviour for any workload containing writes) can no longer hide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrivePath {
-    /// One blocking operation at a time (pipeline depth 1).
-    Blocking,
-    /// The split-phase scheduler with the given in-flight depth.
-    Pipelined(usize),
-}
-
-impl std::fmt::Display for DrivePath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DrivePath::Blocking => write!(f, "blocking"),
-            DrivePath::Pipelined(d) => write!(f, "pipelined(depth={d})"),
-        }
-    }
-}
-
-/// What one tree experiment produced.
+/// What one tree or pipeline experiment produced.
 #[derive(Debug)]
 pub struct ExperimentResult {
     /// Experiment label.
     pub name: String,
-    /// How the measured phase drove the workload (blocking loop or the
-    /// pipelined scheduler) — writes pipeline like reads, so
-    /// `TreeOptions::pipeline_depth > 1` always selects the scheduler.
+    /// How the measured phase drove the workload.
     pub drive: DrivePath,
     /// Throughput / latency summary.
     pub summary: RunSummary,
@@ -132,50 +111,32 @@ pub struct ExperimentResult {
     pub cache_hit_ratio: f64,
     /// Fraction of write operations whose lock was obtained via handover.
     pub handover_fraction: f64,
+    /// Overlap gauges merged over every thread (in-flight depth, overlapped
+    /// round trips).
+    pub overlap: OverlapGauges,
     /// Fabric-wide verb counters accumulated during the measured phase.
     pub fabric: MetricsSnapshot,
 }
 
+/// The per-operation records of one client; the run's total merges every
+/// field but the latency histogram, which the throughput aggregator folds.
 #[derive(Default)]
-struct ThreadOutcome {
+struct Tally {
     ops: u64,
     latency: LatencyHistogram,
     write_round_trips: CountHistogram,
     read_retries: CountHistogram,
     write_sizes: SizeHistogram,
     cache_hits: u64,
-    cache_lookups: u64,
     handovers: u64,
     writes: u64,
+    overlap: OverlapGauges,
 }
 
-impl ThreadOutcome {
-    fn record(&mut self, op: &Op, stats: &OpStats) {
-        self.ops += 1;
-        self.latency.record(stats.latency_ns);
-        self.cache_lookups += 1;
-        if stats.cache_hit {
-            self.cache_hits += 1;
-        }
-        if op.is_write() {
-            self.writes += 1;
-            self.write_round_trips.record(stats.round_trips);
-            self.write_sizes.record(stats.bytes_written);
-            if stats.handed_over {
-                self.handovers += 1;
-            }
-        } else {
-            self.read_retries.record(stats.read_retries);
-        }
-    }
-
-    /// Fold one scheduler result in — the pipelined twin of [`Self::record`],
-    /// fed from the op-id-tagged per-operation counters instead of a
-    /// blocking stats delta.
-    fn record_pipelined(&mut self, r: &PipelinedResult) {
+impl Tally {
+    fn record(&mut self, r: &PipelinedResult) {
         self.ops += 1;
         self.latency.record(r.latency_ns);
-        self.cache_lookups += 1;
         if r.cache_hit {
             self.cache_hits += 1;
         }
@@ -195,95 +156,37 @@ impl ThreadOutcome {
     }
 }
 
-/// Map a workload operation onto its pipelined-scheduler form.
-pub(crate) fn to_pipeline_op(op: Op) -> PipelineOp {
-    match op {
-        Op::Lookup { key } => PipelineOp::Lookup { key },
-        Op::Insert { key, value } => PipelineOp::Insert { key, value },
-        Op::Delete { key } => PipelineOp::Delete { key },
-        Op::Range { start_key, count } => PipelineOp::Range {
-            start_key,
-            count: count as usize,
-        },
-    }
-}
-
-/// Run one tree experiment to completion and aggregate the results.
-pub fn run_tree_experiment(exp: &TreeExperiment) -> ExperimentResult {
-    let spec = exp.workload();
-    spec.validate().expect("invalid workload");
-
-    let cluster_config = ClusterConfig {
-        fabric: FabricConfig {
-            memory_servers: exp.memory_servers,
-            compute_servers: exp.compute_servers,
-            ..FabricConfig::default()
-        },
-        tree: exp.tree.clone(),
-    };
-    let cluster = Cluster::new(cluster_config, exp.options);
-    cluster
-        .bulkload(spec.bulkload_iter().map(|k| (k, k.wrapping_mul(3) + 1)))
-        .expect("bulkload");
-
+/// Drive `spec` from `threads` clients along `drive`, then fold every
+/// client's records into one result.
+fn run_workload(
+    name: &str,
+    cluster: &Arc<Cluster>,
+    spec: WorkloadSpec,
+    threads: usize,
+    ops_per_thread: usize,
+    drive: DrivePath,
+) -> ExperimentResult {
     let baseline_metrics = cluster.fabric().metrics().snapshot();
-    let start_time = cluster.fabric().now();
-
-    // Workers must all register with the virtual clock before the measured
-    // phase begins, so that their operations genuinely overlap.
-    let barrier = Arc::new(std::sync::Barrier::new(exp.threads));
-    let mut handles = Vec::new();
-    for t in 0..exp.threads {
-        let cluster = Arc::clone(&cluster);
-        let spec = spec.clone();
-        let barrier = Arc::clone(&barrier);
-        let cs = (t % exp.compute_servers) as u16;
-        let ops_per_thread = exp.ops_per_thread;
-        let pipeline_depth = exp.options.pipeline_depth;
-        handles.push(thread::spawn(move || {
-            let mut client = cluster.client(cs);
-            barrier.wait();
+    let connect = Arc::clone(cluster);
+    let (tallies, elapsed) = spawn_clients(
+        cluster.fabric(),
+        threads,
+        move |cs| connect.client(cs),
+        move |t, mut client| {
             let mut gen = spec.generator(t as u64);
-            let mut outcome = ThreadOutcome::default();
-            if pipeline_depth > 1 {
-                // Mixed read/write workloads go through the split-phase
-                // scheduler like everything else — no silent fallback to the
-                // blocking loop just because the mix contains writes.
-                let ops: Vec<PipelineOp> = (0..ops_per_thread)
-                    .map(|_| to_pipeline_op(gen.next_op()))
-                    .collect();
-                let report = client
-                    .run_pipelined(ops, pipeline_depth)
-                    .expect("pipelined run");
-                for r in &report.results {
-                    outcome.record_pipelined(r);
-                }
-            } else {
-                for _ in 0..ops_per_thread {
-                    let op = gen.next_op();
-                    let stats = match op {
-                        Op::Lookup { key } => client.lookup(key).map(|(_, s)| s),
-                        Op::Insert { key, value } => client.insert(key, value),
-                        Op::Delete { key } => client.delete(key).map(|(_, s)| s),
-                        Op::Range { start_key, count } => {
-                            client.range(start_key, count as usize).map(|(_, s)| s)
-                        }
-                    };
-                    match stats {
-                        Ok(stats) => outcome.record(&op, &stats),
-                        Err(e) => panic!("operation failed: {e}"),
-                    }
-                }
+            let ops = (0..ops_per_thread).map(|_| to_pipeline_op(gen.next_op()));
+            let driven = drive_ops(&mut client, ops, drive)
+                .unwrap_or_else(|e| panic!("operation failed: {e}"));
+            let mut tally = Tally {
+                overlap: driven.overlap,
+                ..Tally::default()
+            };
+            for r in &driven.results {
+                tally.record(r);
             }
-            outcome
-        }));
-    }
-
-    let outcomes: Vec<ThreadOutcome> = handles
-        .into_iter()
-        .map(|h| h.join().expect("client thread panicked"))
-        .collect();
-    let elapsed = cluster.fabric().now().saturating_sub(start_time).max(1);
+            tally
+        },
+    );
     let fabric = cluster
         .fabric()
         .metrics()
@@ -291,50 +194,54 @@ pub fn run_tree_experiment(exp: &TreeExperiment) -> ExperimentResult {
         .delta_since(&baseline_metrics);
 
     let mut agg = ThroughputAggregator::new();
-    let mut write_round_trips = CountHistogram::new();
-    let mut read_retries = CountHistogram::new();
-    let mut write_sizes = SizeHistogram::new();
-    let mut cache_hits = 0u64;
-    let mut cache_lookups = 0u64;
-    let mut handovers = 0u64;
-    let mut writes = 0u64;
-    for o in &outcomes {
+    let mut total = Tally::default();
+    for t in &tallies {
         agg.add(&ThreadReport {
-            ops: o.ops,
-            latency: o.latency.clone(),
+            ops: t.ops,
+            latency: t.latency.clone(),
         });
-        write_round_trips.merge(&o.write_round_trips);
-        read_retries.merge(&o.read_retries);
-        write_sizes.merge(&o.write_sizes);
-        cache_hits += o.cache_hits;
-        cache_lookups += o.cache_lookups;
-        handovers += o.handovers;
-        writes += o.writes;
+        total.ops += t.ops;
+        total.write_round_trips.merge(&t.write_round_trips);
+        total.read_retries.merge(&t.read_retries);
+        total.write_sizes.merge(&t.write_sizes);
+        total.cache_hits += t.cache_hits;
+        total.handovers += t.handovers;
+        total.writes += t.writes;
+        total.overlap.merge(&t.overlap);
     }
-
+    let ratio = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
     ExperimentResult {
-        name: exp.name.clone(),
-        drive: if exp.options.pipeline_depth > 1 {
-            DrivePath::Pipelined(exp.options.pipeline_depth)
-        } else {
-            DrivePath::Blocking
-        },
+        name: name.to_string(),
+        drive,
         summary: agg.finish(elapsed),
-        write_round_trips,
-        read_retries,
-        write_sizes,
-        cache_hit_ratio: if cache_lookups == 0 {
-            0.0
-        } else {
-            cache_hits as f64 / cache_lookups as f64
-        },
-        handover_fraction: if writes == 0 {
-            0.0
-        } else {
-            handovers as f64 / writes as f64
-        },
+        cache_hit_ratio: ratio(total.cache_hits, total.ops),
+        handover_fraction: ratio(total.handovers, total.writes),
+        write_round_trips: total.write_round_trips,
+        read_retries: total.read_retries,
+        write_sizes: total.write_sizes,
+        overlap: total.overlap,
         fabric,
     }
+}
+
+/// Run one tree experiment to completion and aggregate the results.
+pub fn run_tree_experiment(exp: &TreeExperiment) -> ExperimentResult {
+    let spec = exp.workload();
+    spec.validate().expect("invalid workload");
+    let cluster = deploy::<Fabric>(
+        fabric_config(exp.memory_servers, exp.compute_servers),
+        exp.tree.clone(),
+        exp.options,
+        spec.bulkload_iter(),
+    );
+    run_workload(
+        &exp.name,
+        &cluster,
+        spec,
+        exp.threads,
+        exp.ops_per_thread,
+        exp.drive,
+    )
 }
 
 // ----------------------------------------------------------------------
@@ -342,13 +249,12 @@ pub fn run_tree_experiment(exp: &TreeExperiment) -> ExperimentResult {
 // ----------------------------------------------------------------------
 
 /// An experiment driven through the pipelined scheduler: every thread
-/// multiplexes `depth` logical operations (uniform lookups, scans, and —
-/// when `insert_pct > 0` — inserts) over one fabric context.
+/// multiplexes its in-flight operations (uniform lookups, scans, and — when
+/// `insert_pct > 0` — inserts) over one fabric context.
 ///
-/// `depth == 0` selects the **blocking reference** implementation (the plain
+/// [`DrivePath::Blocking`] selects the **blocking reference** (the plain
 /// `TreeClient::lookup`/`range`/`insert` loop) so the depth-1 scheduler can
-/// be validated against it; `depth >= 1` runs `TreeClient::run_pipelined` at
-/// that depth (carried into the cluster via `TreeOptions::pipeline_depth`).
+/// be validated against it.
 #[derive(Debug, Clone)]
 pub struct PipelineExperiment {
     /// Label printed in result rows.
@@ -373,8 +279,8 @@ pub struct PipelineExperiment {
     pub insert_pct: u8,
     /// Entries per range scan.
     pub range_size: u64,
-    /// In-flight depth (0 = blocking reference, see type docs).
-    pub depth: usize,
+    /// How each client issues its operations.
+    pub drive: DrivePath,
     /// Technique selection.
     pub options: TreeOptions,
     /// Tree geometry.
@@ -385,7 +291,7 @@ pub struct PipelineExperiment {
 
 impl PipelineExperiment {
     /// The uniform-lookup experiment at the harness's default scale.
-    pub fn default_scaled(name: impl Into<String>, depth: usize) -> Self {
+    pub fn default_scaled(name: impl Into<String>, drive: DrivePath) -> Self {
         PipelineExperiment {
             name: name.into(),
             memory_servers: 4,
@@ -397,7 +303,7 @@ impl PipelineExperiment {
             range_pct: 0,
             insert_pct: 0,
             range_size: 50,
-            depth,
+            drive,
             options: TreeOptions::sherman(),
             tree: TreeConfig::default(),
             seed: 0x9196_5EED,
@@ -432,129 +338,24 @@ impl PipelineExperiment {
     }
 }
 
-/// What one pipelined experiment produced.
-#[derive(Debug)]
-pub struct PipelineResult {
-    /// Experiment label.
-    pub name: String,
-    /// In-flight depth the run used (0 = blocking reference).
-    pub depth: usize,
-    /// Throughput / latency summary.
-    pub summary: RunSummary,
-    /// Aggregated overlap gauges across every thread.
-    pub overlap: OverlapGauges,
-    /// Fraction of operations whose leaf address came from the index cache.
-    pub cache_hit_ratio: f64,
-}
-
-/// Run one pipelined (or blocking-reference) read experiment.
-pub fn run_pipeline_experiment(exp: &PipelineExperiment) -> PipelineResult {
+/// Run one pipelined (or blocking-reference) experiment.
+pub fn run_pipeline_experiment(exp: &PipelineExperiment) -> ExperimentResult {
     let spec = exp.workload();
     spec.validate().expect("invalid pipeline workload");
-
-    let cluster_config = ClusterConfig {
-        fabric: FabricConfig {
-            memory_servers: exp.memory_servers,
-            compute_servers: exp.compute_servers,
-            ..FabricConfig::default()
-        },
-        tree: exp.tree.clone(),
-    };
-    // The depth knob rides TreeOptions so any consumer of the cluster knows
-    // the configured pipeline depth.
-    let options = exp.options.with_pipeline_depth(exp.depth.max(1));
-    let cluster = Cluster::new(cluster_config, options);
-    cluster
-        .bulkload(spec.bulkload_iter().map(|k| (k, k.wrapping_mul(3) + 1)))
-        .expect("bulkload");
-
-    let start_time = cluster.fabric().now();
-    let barrier = Arc::new(std::sync::Barrier::new(exp.threads));
-    let mut handles = Vec::new();
-    for t in 0..exp.threads {
-        let cluster = Arc::clone(&cluster);
-        let spec = spec.clone();
-        let barrier = Arc::clone(&barrier);
-        let cs = (t % exp.compute_servers) as u16;
-        let ops_per_thread = exp.ops_per_thread;
-        let blocking_reference = exp.depth == 0;
-        handles.push(thread::spawn(move || {
-            let mut client = cluster.client(cs);
-            let depth = cluster.options().pipeline_depth;
-            let mut gen = spec.generator(t as u64);
-            let ops: Vec<PipelineOp> = (0..ops_per_thread)
-                .map(|_| to_pipeline_op(gen.next_op()))
-                .collect();
-            barrier.wait();
-
-            let mut latency = LatencyHistogram::new();
-            let mut cache_hits = 0u64;
-            let before = client.fabric_stats();
-            let t0 = client.now();
-            let overlap = if blocking_reference {
-                for op in &ops {
-                    let stats = match *op {
-                        PipelineOp::Lookup { key } => client.lookup(key).expect("lookup").1,
-                        PipelineOp::Range { start_key, count } => {
-                            client.range(start_key, count).expect("range").1
-                        }
-                        PipelineOp::Insert { key, value } => {
-                            client.insert(key, value).expect("insert")
-                        }
-                        PipelineOp::Delete { key } => client.delete(key).expect("delete").1,
-                    };
-                    latency.record(stats.latency_ns);
-                    if stats.cache_hit {
-                        cache_hits += 1;
-                    }
-                }
-                let stats = client.fabric_stats().delta_since(&before);
-                sherman::overlap_from_stats(&stats, client.now().saturating_sub(t0))
-            } else {
-                let report = client
-                    .run_pipelined(ops.iter().copied(), depth)
-                    .expect("pipelined run");
-                for r in &report.results {
-                    latency.record(r.latency_ns);
-                    if r.cache_hit {
-                        cache_hits += 1;
-                    }
-                }
-                report.overlap
-            };
-            (
-                ThreadReport {
-                    ops: ops_per_thread as u64,
-                    latency,
-                },
-                overlap,
-                cache_hits,
-            )
-        }));
-    }
-
-    let mut agg = ThroughputAggregator::new();
-    let mut overlap = OverlapGauges::default();
-    let mut cache_hits = 0u64;
-    for h in handles {
-        let (report, thread_overlap, hits) = h.join().expect("pipeline worker panicked");
-        agg.add(&report);
-        overlap.merge(&thread_overlap);
-        cache_hits += hits;
-    }
-    let elapsed = cluster.fabric().now().saturating_sub(start_time).max(1);
-    let total_ops = (exp.threads * exp.ops_per_thread) as u64;
-    PipelineResult {
-        name: exp.name.clone(),
-        depth: exp.depth,
-        summary: agg.finish(elapsed),
-        overlap,
-        cache_hit_ratio: if total_ops == 0 {
-            0.0
-        } else {
-            cache_hits as f64 / total_ops as f64
-        },
-    }
+    let cluster = deploy::<Fabric>(
+        fabric_config(exp.memory_servers, exp.compute_servers),
+        exp.tree.clone(),
+        exp.options,
+        spec.bulkload_iter(),
+    );
+    run_workload(
+        &exp.name,
+        &cluster,
+        spec,
+        exp.threads,
+        exp.ops_per_thread,
+        exp.drive,
+    )
 }
 
 #[cfg(test)]
@@ -604,7 +405,7 @@ mod tests {
         );
     }
 
-    fn tiny_pipeline(depth: usize) -> PipelineExperiment {
+    fn tiny_pipeline(drive: DrivePath) -> PipelineExperiment {
         PipelineExperiment {
             memory_servers: 2,
             compute_servers: 2,
@@ -616,14 +417,14 @@ mod tests {
                 chunk_bytes: 256 << 10,
                 ..TreeConfig::default()
             },
-            ..PipelineExperiment::default_scaled(format!("pipe-d{depth}"), depth)
+            ..PipelineExperiment::default_scaled(format!("pipe-{drive}"), drive)
         }
     }
 
     #[test]
     fn depth_one_pipeline_matches_the_blocking_reference() {
-        let blocking = run_pipeline_experiment(&tiny_pipeline(0));
-        let depth1 = run_pipeline_experiment(&tiny_pipeline(1));
+        let blocking = run_pipeline_experiment(&tiny_pipeline(DrivePath::Blocking));
+        let depth1 = run_pipeline_experiment(&tiny_pipeline(DrivePath::Pipelined(1)));
         let ratio = depth1.summary.throughput_ops / blocking.summary.throughput_ops;
         assert!(
             (0.95..=1.05).contains(&ratio),
@@ -635,8 +436,8 @@ mod tests {
 
     #[test]
     fn depth_four_pipeline_overlaps_and_outperforms() {
-        let depth1 = run_pipeline_experiment(&tiny_pipeline(1));
-        let depth4 = run_pipeline_experiment(&tiny_pipeline(4));
+        let depth1 = run_pipeline_experiment(&tiny_pipeline(DrivePath::Pipelined(1)));
+        let depth4 = run_pipeline_experiment(&tiny_pipeline(DrivePath::Pipelined(4)));
         let speedup = depth4.summary.throughput_ops / depth1.summary.throughput_ops;
         assert!(
             speedup >= 1.5,
@@ -656,7 +457,10 @@ mod tests {
         let blocking = run_tree_experiment(&tiny(TreeOptions::sherman()));
         assert_eq!(blocking.drive, DrivePath::Blocking);
 
-        let piped = run_tree_experiment(&tiny(TreeOptions::sherman().with_pipeline_depth(4)));
+        let piped = run_tree_experiment(&TreeExperiment {
+            drive: DrivePath::Pipelined(4),
+            ..tiny(TreeOptions::sherman())
+        });
         assert_eq!(piped.drive, DrivePath::Pipelined(4));
         // The mixed write-intensive workload really ran (and through the
         // scheduler): same op count, write histograms populated.
@@ -667,19 +471,19 @@ mod tests {
 
     #[test]
     fn mixed_pipeline_depth_one_matches_blocking_and_depth_four_overlaps() {
-        let mixed = |depth: usize| {
-            let mut exp = tiny_pipeline(depth);
+        let mixed = |drive: DrivePath| {
+            let mut exp = tiny_pipeline(drive);
             exp.insert_pct = 50;
             exp
         };
-        let blocking = run_pipeline_experiment(&mixed(0));
-        let depth1 = run_pipeline_experiment(&mixed(1));
+        let blocking = run_pipeline_experiment(&mixed(DrivePath::Blocking));
+        let depth1 = run_pipeline_experiment(&mixed(DrivePath::Pipelined(1)));
         let ratio = depth1.summary.throughput_ops / blocking.summary.throughput_ops;
         assert!(
             (0.95..=1.05).contains(&ratio),
             "depth-1 mixed must reproduce the blocking path within 5%, ratio {ratio:.3}"
         );
-        let depth4 = run_pipeline_experiment(&mixed(4));
+        let depth4 = run_pipeline_experiment(&mixed(DrivePath::Pipelined(4)));
         let speedup = depth4.summary.throughput_ops / depth1.summary.throughput_ops;
         assert!(
             speedup >= 1.3,
@@ -690,7 +494,7 @@ mod tests {
 
     #[test]
     fn pipeline_experiment_supports_scans() {
-        let mut exp = tiny_pipeline(4);
+        let mut exp = tiny_pipeline(DrivePath::Pipelined(4));
         exp.range_pct = 20;
         let result = run_pipeline_experiment(&exp);
         assert_eq!(result.summary.ops, 300);

@@ -19,20 +19,16 @@
 //!   harness reports the hit ratio of each half so the smoke gate can verify
 //!   the degradation is graceful rather than a cliff.
 
-use crate::runner::{to_pipeline_op, DrivePath};
-use sherman::{
-    Cluster, ClusterConfig, NodeCensus, PipelineOp, ShapeAudit, TreeConfig, TreeError,
-    TreeOptions,
-};
+use crate::driver::{deploy, drive_ops, fabric_config, spawn_clients, to_pipeline_op, DrivePath};
+use sherman::{Cluster, NodeCensus, PipelineOp, ShapeAudit, TreeConfig, TreeError, TreeOptions};
 use sherman_metrics::{
     BackpressureSnapshot, EpochGauges, LatencyHistogram, OverlapGauges, RunSummary,
     ThreadReport, ThroughputAggregator,
 };
-use sherman_sim::{Fabric, FabricBackend, FabricConfig};
-use sherman_workload::{Mix, Op, ScenarioShape, ScenarioSpec};
+use sherman_sim::{Fabric, FabricBackend};
+use sherman_workload::{Mix, ScenarioShape, ScenarioSpec};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
-use std::thread;
+use std::sync::Arc;
 
 /// The memory-pressure regime applied while a scenario runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,9 +80,8 @@ pub struct ScenarioExperiment {
     pub mix: Mix,
     /// Entries per range query (non-churn shapes).
     pub range_size: u64,
-    /// In-flight depth: 0 drives the blocking client loop, `>= 1` drives
-    /// [`sherman::TreeClient::run_pipelined`] at that depth.
-    pub depth: usize,
+    /// How each client issues its operations.
+    pub drive: DrivePath,
     /// Memory-pressure regime.
     pub pressure: MemoryPressure,
     /// Host DRAM per memory server; `None` keeps the fabric default.
@@ -114,7 +109,7 @@ impl ScenarioExperiment {
             ops_per_thread: 3_000,
             mix: Mix::WRITE_INTENSIVE,
             range_size: 50,
-            depth: 0,
+            drive: DrivePath::Blocking,
             pressure: MemoryPressure::None,
             host_bytes_per_ms: None,
             options: TreeOptions::sherman(),
@@ -153,7 +148,7 @@ impl ScenarioExperiment {
 /// The six-scenario hostile suite the acceptance gate runs: the four access
 /// shapes unpressured, plus sequential appends against an exhaustible memory
 /// pool and a shifting hot spot under a 4× mid-run cache shrink.
-pub fn hostile_suite(depth: usize) -> Vec<ScenarioExperiment> {
+pub fn hostile_suite(drive: DrivePath) -> Vec<ScenarioExperiment> {
     let mut suite = Vec::new();
 
     let mut hotspot = ScenarioExperiment::default_scaled(
@@ -245,7 +240,7 @@ pub fn hostile_suite(depth: usize) -> Vec<ScenarioExperiment> {
     suite.push(shrink);
 
     suite.into_iter().map(|mut e| {
-        e.depth = depth;
+        e.drive = drive;
         e
     }).collect()
 }
@@ -321,24 +316,15 @@ fn ratio(hits: u64, misses: u64) -> f64 {
 }
 
 /// What each worker thread reports back.
+#[derive(Default)]
 struct WorkerOutcome {
     ops: u64,
     latency: LatencyHistogram,
     overlap: OverlapGauges,
     backpressure_ops: u64,
     errors: Vec<String>,
-}
-
-impl WorkerOutcome {
-    fn new() -> Self {
-        WorkerOutcome {
-            ops: 0,
-            latency: LatencyHistogram::new(),
-            overlap: OverlapGauges::default(),
-            backpressure_ops: 0,
-            errors: Vec::new(),
-        }
-    }
+    /// Cache (hits, misses) at the midpoint; thread 0 takes the snapshot.
+    mid_counts: (u64, u64),
 }
 
 /// Run one hostile-scenario experiment to completion and aggregate the
@@ -360,29 +346,11 @@ pub fn run_scenario_experiment_on<B: FabricBackend>(exp: &ScenarioExperiment) ->
     let spec = exp.spec();
     spec.validate().expect("invalid scenario");
 
-    let mut fabric = FabricConfig {
-        memory_servers: exp.memory_servers,
-        compute_servers: exp.compute_servers,
-        ..FabricConfig::default()
-    };
+    let mut fabric = fabric_config(exp.memory_servers, exp.compute_servers);
     if let Some(host) = exp.host_bytes_per_ms {
         fabric.host_bytes_per_ms = host;
     }
-    let options = if exp.depth > 1 {
-        exp.options.with_pipeline_depth(exp.depth)
-    } else {
-        exp.options
-    };
-    let cluster = Cluster::<B>::new_on(
-        ClusterConfig {
-            fabric,
-            tree: exp.tree.clone(),
-        },
-        options,
-    );
-    cluster
-        .bulkload(spec.bulkload_iter().map(|k| (k, k.wrapping_mul(3) + 1)))
-        .expect("bulkload");
+    let cluster = deploy::<B>(fabric, exp.tree.clone(), exp.options, spec.bulkload_iter());
     let audit_baseline = cluster.shape_audit().expect("shape audit");
 
     let initial_budget = cluster.cache(0).capacity_bytes();
@@ -391,39 +359,35 @@ pub fn run_scenario_experiment_on<B: FabricBackend>(exp: &ScenarioExperiment) ->
         _ => None,
     };
 
-    let start_time = cluster.fabric().now();
-    // The start line is an OS barrier (no virtual time has passed yet); the
-    // *midpoint* rendezvous cannot be — a thread parked on an OS primitive
-    // would freeze the conservative virtual clock for every other
-    // participant.  It is instead a pair of atomic flags polled with
+    // The *midpoint* rendezvous cannot be an OS barrier — a thread parked on
+    // an OS primitive would freeze the conservative virtual clock for every
+    // other participant.  It is instead a pair of atomic flags polled with
     // `TreeClient::idle`, which parks on the clock and lets everyone else
     // keep running.
-    let start = Arc::new(Barrier::new(exp.threads));
-    let mid_arrived = Arc::new(AtomicUsize::new(0));
-    let mid_released = Arc::new(AtomicBool::new(false));
-    let mid_counts = Arc::new(Mutex::new((0u64, 0u64)));
-
-    let mut handles = Vec::new();
-    for t in 0..exp.threads {
-        let cluster = Arc::clone(&cluster);
-        let spec = spec.clone();
-        let start = Arc::clone(&start);
-        let mid_arrived = Arc::clone(&mid_arrived);
-        let mid_released = Arc::clone(&mid_released);
-        let mid_counts = Arc::clone(&mid_counts);
-        let cs = (t % exp.compute_servers) as u16;
-        let ops_per_thread = exp.ops_per_thread;
-        let depth = exp.depth;
-        let compute_servers = exp.compute_servers;
-        let threads = exp.threads;
-        handles.push(thread::spawn(move || {
-            let mut client = cluster.client(cs);
+    let mid_arrived = AtomicUsize::new(0);
+    let mid_released = AtomicBool::new(false);
+    let ops_per_thread = exp.ops_per_thread;
+    let compute_servers = exp.compute_servers;
+    let threads = exp.threads;
+    // `run_pipelined` aborts its whole batch on the first failed operation,
+    // so pipelined batches are kept small (`depth * 8`) — one allocation
+    // failure then costs at most one batch, which is tallied as backpressure
+    // rather than killing the run.  Blocking batches are single operations.
+    let batch_len = match exp.drive {
+        DrivePath::Blocking => 1,
+        DrivePath::Pipelined(depth) => (depth * 8).max(1),
+    };
+    let drive = exp.drive;
+    let connect = Arc::clone(&cluster);
+    let monitor = Arc::clone(&cluster);
+    let (outcomes, elapsed) = spawn_clients(
+        cluster.fabric(),
+        exp.threads,
+        move |cs| connect.client(cs),
+        move |t, mut client| {
             let mut gen = spec.generator(t as u64);
             let first_half = ops_per_thread / 2;
-            start.wait();
-            let before = client.fabric_stats();
-            let t0 = client.now();
-            let mut outcome = WorkerOutcome::new();
+            let mut outcome = WorkerOutcome::default();
             for (phase, budget) in [(0usize, first_half), (1, ops_per_thread - first_half)] {
                 if phase == 1 {
                     // Midpoint rendezvous: thread 0 snapshots the cache
@@ -435,10 +399,9 @@ pub fn run_scenario_experiment_on<B: FabricBackend>(exp: &ScenarioExperiment) ->
                         while mid_arrived.load(Ordering::SeqCst) < threads {
                             client.idle(1_000);
                         }
-                        *mid_counts.lock().unwrap() =
-                            cache_counts(&cluster, compute_servers);
+                        outcome.mid_counts = cache_counts(&monitor, compute_servers);
                         if let Some(bytes) = shrink_to {
-                            cluster.set_cache_budget(bytes);
+                            monitor.set_cache_budget(bytes);
                         }
                         mid_released.store(true, Ordering::SeqCst);
                     } else {
@@ -447,30 +410,37 @@ pub fn run_scenario_experiment_on<B: FabricBackend>(exp: &ScenarioExperiment) ->
                         }
                     }
                 }
-                if depth >= 1 {
-                    drive_pipelined(&mut client, &mut gen, budget, depth, &mut outcome);
-                } else {
-                    drive_blocking(&mut client, &mut gen, budget, &mut outcome);
+                let mut remaining = budget;
+                while remaining > 0 {
+                    let n = remaining.min(batch_len);
+                    remaining -= n;
+                    // Draw the whole batch up front so a failed batch still
+                    // consumes its share of the generator.
+                    let ops: Vec<PipelineOp> =
+                        (0..n).map(|_| to_pipeline_op(gen.next_op())).collect();
+                    match drive_ops(&mut client, ops, drive) {
+                        Ok(driven) => {
+                            for r in &driven.results {
+                                outcome.ops += 1;
+                                outcome.latency.record(r.latency_ns);
+                            }
+                            outcome.overlap.merge(&driven.overlap);
+                        }
+                        Err(TreeError::Allocation(_)) => outcome.backpressure_ops += n as u64,
+                        Err(e) => outcome.errors.push(format!("{drive} batch: {e}")),
+                    }
                 }
             }
-            if depth == 0 {
-                // The blocking path computes overlap from the fabric's verb
-                // counters over the whole run (the pipelined path gets it from
-                // the scheduler's reports instead).
-                let stats = client.fabric_stats().delta_since(&before);
-                let elapsed = client.now().saturating_sub(t0);
-                outcome.overlap = sherman::overlap_from_stats(&stats, elapsed);
-            }
             outcome
-        }));
-    }
+        },
+    );
 
     let mut agg = ThroughputAggregator::new();
     let mut overlap = OverlapGauges::default();
     let mut backpressure_ops = 0u64;
     let mut op_errors = Vec::new();
-    for h in handles {
-        let outcome = h.join().expect("scenario worker panicked");
+    let (mid_hits, mid_misses) = outcomes[0].mid_counts;
+    for outcome in outcomes {
         agg.add(&ThreadReport {
             ops: outcome.ops,
             latency: outcome.latency,
@@ -479,10 +449,8 @@ pub fn run_scenario_experiment_on<B: FabricBackend>(exp: &ScenarioExperiment) ->
         backpressure_ops += outcome.backpressure_ops;
         op_errors.extend(outcome.errors);
     }
-    let elapsed = cluster.fabric().now().saturating_sub(start_time).max(1);
 
     let (end_hits, end_misses) = cache_counts(&cluster, exp.compute_servers);
-    let (mid_hits, mid_misses) = *mid_counts.lock().unwrap();
     let mut pressure_evictions = 0u64;
     for cs in 0..exp.compute_servers as u16 {
         pressure_evictions += cluster.cache(cs).stats().pressure_evictions();
@@ -493,11 +461,7 @@ pub fn run_scenario_experiment_on<B: FabricBackend>(exp: &ScenarioExperiment) ->
     ScenarioResult {
         name: exp.name.clone(),
         pressure: exp.pressure,
-        drive: if exp.depth >= 1 {
-            DrivePath::Pipelined(exp.depth)
-        } else {
-            DrivePath::Blocking
-        },
+        drive: exp.drive,
         summary: agg.finish(elapsed),
         overlap,
         epoch: cluster.epoch_stats(),
@@ -516,68 +480,6 @@ pub fn run_scenario_experiment_on<B: FabricBackend>(exp: &ScenarioExperiment) ->
             end_misses.saturating_sub(mid_misses),
         ),
         op_errors,
-    }
-}
-
-/// Drive `budget` operations through the blocking client loop.  Allocation
-/// failures count as backpressure and the loop continues; any other error is
-/// recorded for the zero-errors gate.
-fn drive_blocking<B: FabricBackend>(
-    client: &mut sherman::TreeClient<B>,
-    gen: &mut sherman_workload::ScenarioGenerator,
-    budget: usize,
-    outcome: &mut WorkerOutcome,
-) {
-    for _ in 0..budget {
-        let op = gen.next_op();
-        let stats = match op {
-            Op::Lookup { key } => client.lookup(key).map(|(_, s)| s),
-            Op::Insert { key, value } => client.insert(key, value),
-            Op::Delete { key } => client.delete(key).map(|(_, s)| s),
-            Op::Range { start_key, count } => {
-                client.range(start_key, count as usize).map(|(_, s)| s)
-            }
-        };
-        match stats {
-            Ok(stats) => {
-                outcome.ops += 1;
-                outcome.latency.record(stats.latency_ns);
-            }
-            Err(TreeError::Allocation(_)) => outcome.backpressure_ops += 1,
-            Err(e) => outcome.errors.push(format!("{op:?}: {e}")),
-        }
-    }
-}
-
-/// Drive `budget` operations through the pipelined scheduler in bounded
-/// batches.  `run_pipelined` aborts its whole batch on the first failed
-/// operation, so batches are kept small (`depth * 8`) — one allocation
-/// failure then costs at most one batch, which is tallied as backpressure
-/// rather than killing the run.
-fn drive_pipelined<B: FabricBackend>(
-    client: &mut sherman::TreeClient<B>,
-    gen: &mut sherman_workload::ScenarioGenerator,
-    budget: usize,
-    depth: usize,
-    outcome: &mut WorkerOutcome,
-) {
-    let batch_len = (depth * 8).max(1);
-    let mut remaining = budget;
-    while remaining > 0 {
-        let n = remaining.min(batch_len);
-        remaining -= n;
-        let ops: Vec<PipelineOp> = (0..n).map(|_| to_pipeline_op(gen.next_op())).collect();
-        match client.run_pipelined(ops, depth) {
-            Ok(report) => {
-                for r in &report.results {
-                    outcome.ops += 1;
-                    outcome.latency.record(r.latency_ns);
-                }
-                outcome.overlap.merge(&report.overlap);
-            }
-            Err(TreeError::Allocation(_)) => outcome.backpressure_ops += n as u64,
-            Err(e) => outcome.errors.push(format!("pipelined batch: {e}")),
-        }
     }
 }
 
@@ -617,7 +519,7 @@ mod tests {
             theta: 0.9,
             phases: 4,
         });
-        piped.depth = 4;
+        piped.drive = DrivePath::Pipelined(4);
         let piped = run_scenario_experiment(&piped);
         assert_eq!(piped.drive, DrivePath::Pipelined(4));
         assert_eq!(piped.summary.ops, 1_200);
@@ -627,7 +529,7 @@ mod tests {
 
     #[test]
     fn pool_exhaustion_backpressures_instead_of_panicking() {
-        let exp = hostile_suite(0)
+        let exp = hostile_suite(DrivePath::Blocking)
             .into_iter()
             .find(|e| e.pressure == MemoryPressure::PoolExhaustion)
             .unwrap()
@@ -646,7 +548,7 @@ mod tests {
 
     #[test]
     fn cache_shrink_rebudgets_mid_run_without_a_cliff() {
-        let exp = hostile_suite(0)
+        let exp = hostile_suite(DrivePath::Blocking)
             .into_iter()
             .find(|e| matches!(e.pressure, MemoryPressure::CacheShrink { .. }))
             .unwrap()
@@ -665,9 +567,9 @@ mod tests {
 
     #[test]
     fn suite_covers_all_shapes_and_pressures() {
-        let suite = hostile_suite(4);
+        let suite = hostile_suite(DrivePath::Pipelined(4));
         assert_eq!(suite.len(), 6);
-        assert!(suite.iter().all(|e| e.depth == 4));
+        assert!(suite.iter().all(|e| e.drive == DrivePath::Pipelined(4)));
         assert!(suite
             .iter()
             .any(|e| e.pressure == MemoryPressure::PoolExhaustion));

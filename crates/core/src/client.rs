@@ -1731,10 +1731,9 @@ mod tests {
 
     #[test]
     fn retired_addresses_are_recycled_by_later_inserts() {
-        // Zero grace period so reuse is immediate and deterministic.
-        let mut config = ClusterConfig::small();
-        config.tree.reclaim_grace_ns = 0;
-        let cluster = Cluster::new(config, TreeOptions::sherman());
+        // One client and no other reader: epoch reclamation reuses
+        // immediately and deterministically.
+        let cluster = Cluster::new(ClusterConfig::small(), TreeOptions::sherman());
         let n = 2_000u64;
         cluster.bulkload((0..n).map(|k| (k, k))).unwrap();
         let mut client = cluster.client(0);

@@ -28,36 +28,6 @@ pub struct TreeConfig {
     pub max_read_retries: u32,
     /// Upper bound on traversal restarts per operation.
     pub max_restarts: u32,
-    /// Which scheme decides when a node address freed by a structural delete
-    /// may be recycled (see [`ReclaimScheme`]).
-    pub reclaim: ReclaimScheme,
-    /// Grace period (virtual ns) used by the **deprecated**
-    /// [`ReclaimScheme::GracePeriod`] fallback: a freed node's address is
-    /// quarantined for this much virtual time before it may be recycled.
-    /// Ignored under [`ReclaimScheme::Epoch`], which tracks actual reader
-    /// pins instead of guessing a window.
-    pub reclaim_grace_ns: u64,
-}
-
-/// When may a node address retired by a structural delete be recycled?
-///
-/// Retired nodes are always written as tombstones first (free bit set,
-/// versions bumped) so racing lock-free readers fail validation and retry;
-/// the scheme only decides how long the *address* stays out of circulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReclaimScheme {
-    /// Epoch-based reclamation (the default): every tree operation pins the
-    /// global epoch on entry; a retired address is recycled only once every
-    /// reader pinned at or before its retirement epoch has finished.  Reuse
-    /// is immediate under no contention and provably deferred while a stalled
-    /// reader could still hold a pointer into the freed node.
-    Epoch,
-    /// Deprecated compatibility fallback: a fixed window of
-    /// [`TreeConfig::reclaim_grace_ns`] virtual nanoseconds.  Unsafe in
-    /// principle (a reader stalled longer than the constant can observe a
-    /// recycled node) and wasteful in practice (idle addresses wait out the
-    /// full window); kept so the PR 2 behaviour remains reproducible.
-    GracePeriod,
 }
 
 impl Default for TreeConfig {
@@ -71,8 +41,6 @@ impl Default for TreeConfig {
             chunk_bytes: 1 << 20,
             max_read_retries: 1_000,
             max_restarts: 10_000,
-            reclaim: ReclaimScheme::Epoch,
-            reclaim_grace_ns: sherman_memserver::DEFAULT_RECLAIM_GRACE_NS,
         }
     }
 }
@@ -84,17 +52,8 @@ impl TreeConfig {
             node_size: 256,
             cache_bytes: 1 << 20,
             chunk_bytes: 64 << 10,
-            reclaim_grace_ns: 10_000,
             ..TreeConfig::default()
         }
-    }
-
-    /// Switch to the deprecated grace-period reclamation fallback with the
-    /// given quarantine window (virtual ns).
-    pub fn with_grace_reclamation(mut self, grace_ns: u64) -> Self {
-        self.reclaim = ReclaimScheme::GracePeriod;
-        self.reclaim_grace_ns = grace_ns;
-        self
     }
 
     /// Validate the configuration.
@@ -246,7 +205,9 @@ pub struct TreeOptions {
     /// client thread multiplexes over its single fabric context.  `1` (the
     /// default, and the paper's single-coroutine behaviour) serializes every
     /// round trip; deeper pipelines overlap up to this many round trips per
-    /// thread.  Blocking entry points ignore the knob.
+    /// thread.  Nothing in the index reads the knob —
+    /// `TreeClient::run_pipelined` takes its depth explicitly — so it only
+    /// records a caller's chosen depth.
     pub pipeline_depth: usize,
     /// When to offload cache-missing traversals to the memory server
     /// (server-side typed RPCs).  [`OffloadPolicy::Never`] — the default and
@@ -307,9 +268,8 @@ impl TreeOptions {
 
     /// Strict paper-faithful mode for lost root-growth races: the orphan node
     /// is tombstoned but its address leaks (the paper only ever clears a free
-    /// bit).  By default the orphan is retired through the free list under
-    /// the configured [`crate::ReclaimScheme`], independent of whether
-    /// structural deletes are enabled.
+    /// bit).  By default the orphan is retired through the epoch-reclaimed
+    /// free list, independent of whether structural deletes are enabled.
     pub fn with_paper_faithful_orphan_leak(self) -> Self {
         TreeOptions {
             reclaim_root_orphans: false,
@@ -385,16 +345,6 @@ mod tests {
     fn default_and_test_configs_validate() {
         TreeConfig::default().validate().unwrap();
         TreeConfig::small_test().validate().unwrap();
-    }
-
-    #[test]
-    fn epoch_reclamation_is_the_default_with_a_grace_fallback() {
-        let config = TreeConfig::default();
-        assert_eq!(config.reclaim, ReclaimScheme::Epoch);
-        let fallback = config.with_grace_reclamation(5_000);
-        assert_eq!(fallback.reclaim, ReclaimScheme::GracePeriod);
-        assert_eq!(fallback.reclaim_grace_ns, 5_000);
-        fallback.validate().unwrap();
     }
 
     #[test]

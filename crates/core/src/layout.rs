@@ -13,7 +13,8 @@
 //! * alternatively (original FG) a **checksum** over the node.
 //!
 //! The paper packs versions into 4 bits; this implementation uses full bytes
-//! so that the layout stays byte-addressable (documented in DESIGN.md), and
+//! so that the layout stays byte-addressable (the lookup walkthrough in
+//! `docs/ARCHITECTURE.md` shows how the pairs are validated), and
 //! additionally stores a per-entry `present` flag byte so that deleted entries
 //! are distinguishable from live entries holding key 0.
 //!

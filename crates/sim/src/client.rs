@@ -1122,14 +1122,14 @@ impl<C: FabricChannel> ClientCtx<C> {
         }
     }
 
-    fn account_rpc(&mut self, request_bytes: u64, response_bytes: u64) {
+    fn account_rpc(&mut self) {
         self.stats.rpcs.fetch_add(1, Ordering::Relaxed);
         let m = self.chan.backend().metrics();
         m.rpcs.fetch_add(1, Ordering::Relaxed);
-        // Fold the RPC into the tagged per-op attribution: the request is
-        // written to the wire, the response read back, and the op's RPC count
-        // keeps offloaded round trips visible at pipeline depth > 1.
-        self.attribute_bytes(response_bytes, request_bytes);
+        // Fold the RPC into the tagged per-op attribution: the op's RPC count
+        // keeps offloaded round trips visible at pipeline depth > 1.  Its
+        // messages are not memory payload, so — exactly as in the client's
+        // own counters — they add no bytes read or written.
         if let Some(op) = self.current_op {
             self.op_stats.entry(op).or_default().rpcs += 1;
         }
@@ -1326,7 +1326,7 @@ impl<C: FabricChannel> ClientCtx<C> {
         let window = self
             .chan
             .rpc(ms, request_bytes, response_bytes, RpcWork::NONE)?;
-        self.account_rpc(request_bytes as u64, response_bytes as u64);
+        self.account_rpc();
         Ok(self.enqueue(window, VerbResult::Rpc(RpcResponse::Ack)))
     }
 
@@ -1370,7 +1370,7 @@ impl<C: FabricChannel> ClientCtx<C> {
         let window = self
             .chan
             .rpc(ms, request_bytes, response_bytes, response.work())?;
-        self.account_rpc(request_bytes as u64, response_bytes as u64);
+        self.account_rpc();
         Ok(self.enqueue(window, VerbResult::Rpc(response)))
     }
 
@@ -1642,8 +1642,10 @@ mod tests {
         let ops = client.take_op_stats(41);
         assert_eq!(ops.rpcs, 1);
         assert_eq!(ops.round_trips, 1);
-        assert_eq!(ops.bytes_written, req.wire_bytes() as u64);
-        assert!(ops.bytes_read >= 16);
+        // RPC messages are not memory payload: per-op bytes agree with the
+        // client's counters, which leave them out.
+        assert_eq!((ops.bytes_written, ops.bytes_read), (0, 0));
+        assert_eq!(client.stats().bytes_written, 0);
         assert!(ops.verb_ns > 0);
     }
 
