@@ -16,9 +16,12 @@
 //! `--smoke` runs the whole suite at `--quick` scale on both drive paths and
 //! exits non-zero when a hostile run breaks an invariant: any op error, a
 //! fixable shape-audit defect, a census/outstanding mismatch outside pool
-//! exhaustion, a pool-exhaustion run that never saw backpressure, or a cache
-//! shrink whose hit ratio fell off a cliff (more than 50 points absolute).
+//! exhaustion, a pool-exhaustion run that never saw backpressure, a cache
+//! shrink whose hit ratio fell off a cliff (more than 50 points absolute), or
+//! an operation that took more than 64 restarts (a livelock's signature;
+//! advisory on `--backend threaded`).
 
+use sherman_bench::driver::MAX_OP_RESTARTS;
 use sherman_bench::{
     fmt_mops, fmt_us, hostile_suite, print_table, run_scenario_experiment,
     run_scenario_experiment_on, Args, DrivePath, MemoryPressure, ScenarioExperiment,
@@ -169,13 +172,18 @@ fn gate(r: &ScenarioResult, failures: &mut Vec<String>) {
 /// exit on any invariant violation.
 fn smoke(args: &Args) {
     let mut failures = Vec::new();
+    // The restart ceiling is timing-coupled (how long a lost race stays
+    // lost): strict where the clock is modeled, advisory on the threaded
+    // backend.
+    let sim = args.get("backend").unwrap_or("sim") == "sim";
+    let mut max_restarts = 0;
     for drive in [DrivePath::Blocking, DrivePath::Pipelined(4)] {
         for exp in hostile_suite(drive) {
             let exp = configure(args, exp);
             let r = run(args, &exp);
             println!(
                 "scenario smoke: {:<18} [{:>9}] ops={} backpr={} exhaust={} \
-                 press_evict={} hit={:.0}%->{:.0}% errs={}",
+                 press_evict={} hit={:.0}%->{:.0}% errs={} restarts={}",
                 r.name,
                 r.drive.to_string(),
                 r.summary.ops,
@@ -185,9 +193,23 @@ fn smoke(args: &Args) {
                 r.hit_before * 100.0,
                 r.hit_after * 100.0,
                 r.op_errors.len(),
+                r.max_restarts,
             );
             gate(&r, &mut failures);
+            if sim && r.max_restarts > MAX_OP_RESTARTS {
+                failures.push(format!(
+                    "{} [{}]: an operation took {} restarts (ceiling {MAX_OP_RESTARTS})",
+                    r.name, r.drive, r.max_restarts
+                ));
+            }
+            max_restarts = max_restarts.max(r.max_restarts);
         }
+    }
+    if !sim {
+        println!(
+            "scenario smoke: max restarts per op {max_restarts} \
+             (ceiling {MAX_OP_RESTARTS}, advisory here)"
+        );
     }
     if failures.is_empty() {
         println!("scenario smoke: OK");

@@ -154,6 +154,9 @@ pub struct ChurnResult {
     /// (a full-window read sweep after every inbox drained).  Any nonzero
     /// value means a coherence message failed to scrub its route.
     pub stale_hits_after_drain: u64,
+    /// The most restarts any one churn operation took
+    /// (`OpStats::restarts`; the smoke gate's livelock signal).
+    pub max_restarts: u64,
 }
 
 /// Run one churn experiment to completion and aggregate the results on the
@@ -203,6 +206,7 @@ pub fn run_churn_experiment_on<B: FabricBackend>(exp: &ChurnExperiment) -> Churn
             const SHAPE_WINDOW: usize = 16;
             let sample_every = (ops_per_thread / SHAPE_SAMPLES).max(1);
             let mut shape_timeline = Vec::new();
+            let mut max_restarts = 0;
             let mut done = 0;
             while done < ops_per_thread {
                 if t == 0 && done > 0 {
@@ -215,6 +219,7 @@ pub fn run_churn_experiment_on<B: FabricBackend>(exp: &ChurnExperiment) -> Churn
                 let ops = (0..n).map(|_| to_pipeline_op(gen.next_op()));
                 let driven = drive_ops(&mut client, ops, DrivePath::Blocking).expect("churn op");
                 for r in &driven.results {
+                    max_restarts = max_restarts.max(r.restarts);
                     match (r.op, &r.output) {
                         (PipelineOp::Lookup { key }, OpOutput::Lookup(None)) => {
                             panic!("live key {key} must be present")
@@ -231,15 +236,17 @@ pub fn run_churn_experiment_on<B: FabricBackend>(exp: &ChurnExperiment) -> Churn
                 ops: done as u64,
                 latency,
             };
-            (report, gen.turnovers(), shape_timeline)
+            (report, gen.turnovers(), shape_timeline, max_restarts)
         },
     );
 
     let mut agg = ThroughputAggregator::new();
     let mut min_turnovers = f64::INFINITY;
     let mut shape_timeline = Vec::new();
-    for (report, turnovers, timeline) in outcomes {
+    let mut max_restarts = 0;
+    for (report, turnovers, timeline, restarts) in outcomes {
         agg.add(&report);
+        max_restarts = max_restarts.max(restarts);
         min_turnovers = min_turnovers.min(turnovers);
         if !timeline.is_empty() {
             shape_timeline = timeline;
@@ -295,6 +302,7 @@ pub fn run_churn_experiment_on<B: FabricBackend>(exp: &ChurnExperiment) -> Churn
         },
         coherence: cluster.coherence_stats(),
         stale_hits_after_drain,
+        max_restarts,
     }
 }
 

@@ -42,6 +42,11 @@ impl std::fmt::Display for DrivePath {
     }
 }
 
+/// The smoke gates' ceiling on one operation's restarts
+/// (`OpStats::restarts`): a livelock trips it long before the operation's
+/// 10,000-attempt budget fails it with `RetriesExhausted`.
+pub const MAX_OP_RESTARTS: u64 = 64;
+
 /// The fabric of a bench deployment: the given server counts, calibrated
 /// defaults for everything else.
 pub fn fabric_config(memory_servers: usize, compute_servers: usize) -> FabricConfig {
@@ -188,6 +193,7 @@ fn run_blocking<B: FabricBackend>(
         round_trips: stats.round_trips,
         bytes_written: stats.bytes_written,
         read_retries: stats.read_retries,
+        restarts: stats.restarts,
         handed_over: stats.handed_over,
         cache_hit: stats.cache_hit,
     })

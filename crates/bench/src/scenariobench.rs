@@ -294,6 +294,9 @@ pub struct ScenarioResult {
     /// Errors other than allocation backpressure (the smoke gate requires
     /// zero).
     pub op_errors: Vec<String>,
+    /// The most restarts any one completed operation took
+    /// (`OpStats::restarts`; the smoke gate's livelock signal).
+    pub max_restarts: u64,
 }
 
 /// Sum of (hits, misses) across every compute server's type-❶ cache.
@@ -323,6 +326,7 @@ struct WorkerOutcome {
     overlap: OverlapGauges,
     backpressure_ops: u64,
     errors: Vec<String>,
+    max_restarts: u64,
     /// Cache (hits, misses) at the midpoint; thread 0 takes the snapshot.
     mid_counts: (u64, u64),
 }
@@ -423,6 +427,7 @@ pub fn run_scenario_experiment_on<B: FabricBackend>(exp: &ScenarioExperiment) ->
                             for r in &driven.results {
                                 outcome.ops += 1;
                                 outcome.latency.record(r.latency_ns);
+                                outcome.max_restarts = outcome.max_restarts.max(r.restarts);
                             }
                             outcome.overlap.merge(&driven.overlap);
                         }
@@ -439,8 +444,10 @@ pub fn run_scenario_experiment_on<B: FabricBackend>(exp: &ScenarioExperiment) ->
     let mut overlap = OverlapGauges::default();
     let mut backpressure_ops = 0u64;
     let mut op_errors = Vec::new();
+    let mut max_restarts = 0;
     let (mid_hits, mid_misses) = outcomes[0].mid_counts;
     for outcome in outcomes {
+        max_restarts = max_restarts.max(outcome.max_restarts);
         agg.add(&ThreadReport {
             ops: outcome.ops,
             latency: outcome.latency,
@@ -480,6 +487,7 @@ pub fn run_scenario_experiment_on<B: FabricBackend>(exp: &ScenarioExperiment) ->
             end_misses.saturating_sub(mid_misses),
         ),
         op_errors,
+        max_restarts,
     }
 }
 

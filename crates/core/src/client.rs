@@ -23,8 +23,8 @@ use crate::error::TreeError;
 use crate::layout::NodeLayout;
 use crate::node::{InternalEntry, InternalNode, LeafNode};
 use crate::ops::{
-    self, drive_blocking, LeafSource, LookupSM, OpCx, OpMeta, Park, RangeSM, ReadNodeSM, Step,
-    Tail, TraverseSM, WriteCommit, WriteKind, WriteSM,
+    self, drive_blocking, LeafRpc, Locate, Located, LookupSM, OpCx, OpMeta, Park, RangeSM,
+    ReadNodeSM, Step, Tail, WriteCommit, WriteKind, WriteSM,
 };
 use crate::stats::OpStats;
 use crate::TreeResult;
@@ -243,7 +243,7 @@ impl<B: FabricBackend> TreeClient<B> {
     /// though the completion is still outstanding.  Returns the deferred verb
     /// to park on (`None` when a local handover made the release purely
     /// local).
-    fn release_lock_deferred(
+    pub(crate) fn release_lock_deferred(
         &mut self,
         addr: GlobalAddress,
         writes: Vec<WriteCmd>,
@@ -268,7 +268,8 @@ impl<B: FabricBackend> TreeClient<B> {
     /// this context is stepped until it returns, and it starts holding no
     /// lock (see the `ops` module docs).  A merge that loses its races
     /// (retry budgets included) does not fail the delete, which already
-    /// committed; a later delete retries it.
+    /// committed; a later delete retries it.  Its restarts still count
+    /// toward the op's (`OpStats::restarts`), so a livelock stays visible.
     pub(crate) fn run_tail(&mut self, tail: Tail, meta: &mut OpMeta) -> TreeResult<()> {
         self.ctx.begin_atomic();
         let result = match tail {
@@ -286,16 +287,6 @@ impl<B: FabricBackend> TreeClient<B> {
     }
 
     // ------------------------------------------------------------------
-    // Root management
-    // ------------------------------------------------------------------
-
-    /// Current root address and level, from the local hint or the remote
-    /// superblock.
-    fn root(&mut self) -> TreeResult<(GlobalAddress, u8)> {
-        self.op_cx().root()
-    }
-
-    // ------------------------------------------------------------------
     // Node reads
     // ------------------------------------------------------------------
 
@@ -304,7 +295,7 @@ impl<B: FabricBackend> TreeClient<B> {
     /// Blocking wrapper over [`ReadNodeSM`].
     fn read_node_consistent(&mut self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<Vec<u8>> {
         let mut cx = self.op_cx();
-        let mut sm = ReadNodeSM::new(&cx, addr);
+        let mut sm = ReadNodeSM::new(addr);
         drive_blocking(&mut cx, meta, |cx, meta, c| sm.step(cx, meta, c))
     }
 
@@ -318,35 +309,12 @@ impl<B: FabricBackend> TreeClient<B> {
         Ok(buf)
     }
 
-    // ------------------------------------------------------------------
-    // Traversal
-    // ------------------------------------------------------------------
-
-    /// Walk down from the root (or the cached top levels) to the node at
-    /// `target_level` whose key interval contains `key`.  Blocking wrapper
-    /// over [`TraverseSM`], used by the write paths.
-    fn traverse_to_level(
-        &mut self,
-        key: u64,
-        target_level: u8,
-        meta: &mut OpMeta,
-    ) -> TreeResult<GlobalAddress> {
+    /// Run `locate` to its next answer with one verb in flight at a time
+    /// (the structural tails' blocking form of the locate every operation
+    /// runs).
+    fn locate(&mut self, locate: &mut Locate, meta: &mut OpMeta) -> TreeResult<Located> {
         let mut cx = self.op_cx();
-        let mut sm = TraverseSM::new(&cx, key, target_level);
-        drive_blocking(&mut cx, meta, |cx, meta, c| sm.step(cx, meta, c))
-    }
-
-    /// Handle a leaf that turned out not to cover `key`: invalidate the stale
-    /// cache entry and either follow the sibling pointer or ask for a fresh
-    /// traversal.  Returns the next address to try, or `None` to re-locate.
-    fn next_after_mismatch(
-        &mut self,
-        key: u64,
-        addr: GlobalAddress,
-        header: &crate::node::NodeHeader,
-        source: LeafSource,
-    ) -> Option<GlobalAddress> {
-        ops::next_after_mismatch(&mut self.op_cx(), key, addr, header, source)
+        drive_blocking(&mut cx, meta, |cx, meta, c| locate.step(cx, meta, c))
     }
 
     // ------------------------------------------------------------------
@@ -365,7 +333,7 @@ impl<B: FabricBackend> TreeClient<B> {
         let mut meta = OpMeta::default();
 
         let mut cx = self.op_cx();
-        let mut sm = LookupSM::new(&cx, key);
+        let mut sm = LookupSM::new(key);
         let value = drive_blocking(&mut cx, &mut meta, |cx, meta, c| sm.step(cx, meta, c))?;
         Ok((value, self.finish(before, t0, meta)))
     }
@@ -408,49 +376,23 @@ impl<B: FabricBackend> TreeClient<B> {
         let t0 = self.ctx.now();
         let _pin = self.reader.pin();
         let mut meta = OpMeta::default();
-        let mut sm = WriteSM::new(&self.op_cx(), key, WriteKind::Insert { value });
+        let mut sm = WriteSM::new(key, WriteKind::Insert { value });
         self.drive_write(&mut meta, |client, meta, c| sm.step(client, meta, c))?;
         Ok(self.finish(before, t0, meta))
     }
 
-    /// Release a locked leaf that turned out not to cover `key` untouched,
-    /// and decide where the write retries.
-    fn commit_mismatch(
-        &mut self,
-        addr: GlobalAddress,
-        source: LeafSource,
-        key: u64,
-        header: &crate::node::NodeHeader,
-    ) -> TreeResult<(WriteCommit, Option<PendingVerb>)> {
-        if header.free && matches!(source, LeafSource::Cache { .. } | LeafSource::TopCache) {
-            // The cache routed this write to a retired leaf: its
-            // invalidation is still in flight.
-            self.cluster.coherence_counters().record_stale_hit();
-        }
-        let release = self.release_lock_deferred(addr, Vec::new())?;
-        let next = self
-            .next_after_mismatch(key, addr, header, source)
-            .map(|a| (a, LeafSource::Sibling));
-        Ok((WriteCommit::Retry { next }, release))
-    }
-
     /// The insert commit, given the image of the leaf at `addr` read under
-    /// its lock: revalidate it, install the entry (or split the leaf), and
-    /// post the combined write-back + release split-phase, returning its
-    /// verb for the caller to park on.  A split hands back the separator
-    /// insertion as the structural tail.
+    /// its lock (already validated to cover `key`): install the entry (or
+    /// split the leaf), and post the combined write-back + release
+    /// split-phase, returning its verb for the caller to park on.  A split
+    /// hands back the separator insertion as the structural tail.
     pub(crate) fn insert_commit(
         &mut self,
         addr: GlobalAddress,
-        source: LeafSource,
         key: u64,
         value: u64,
         buf: &[u8],
     ) -> TreeResult<(WriteCommit, Option<PendingVerb>)> {
-        let header = self.layout().decode_header(buf);
-        if header.free || !header.is_leaf || !header.covers(key) {
-            return self.commit_mismatch(addr, source, key, &header);
-        }
         let mut leaf = self.layout().decode_leaf(buf);
 
         // Update in place or take a vacant slot.
@@ -597,63 +539,30 @@ impl<B: FabricBackend> TreeClient<B> {
         parent_level: u8,
         meta: &mut OpMeta,
     ) -> TreeResult<()> {
-        let restarts = self.cluster.config().max_restarts;
-        let mut pending: Option<GlobalAddress> = None;
-        // One traversal carried across every retry: after its first miss it
-        // distrusts the cache shortcuts instead of following the same stale
-        // route again (see `TraverseSM::begin_attempt`).
-        let mut route = TraverseSM::new(&self.op_cx(), sep_key, parent_level);
-        for attempt in 0..restarts {
-            if attempt > 0 {
-                // Lost a race (root growth, a concurrent split moving the
-                // key range): pace the retry so the winner can finish, and
-                // apply the invalidations delivered meanwhile — a retired
-                // node's `Invalidate` must not wait for the next op boundary.
-                self.ctx.contention_backoff(attempt);
-                self.drain_coherence();
-            }
-            let (_, root_level) = self.root()?;
-            if root_level < parent_level {
-                if self.try_grow_root(sep_key, child, parent_level)? {
-                    return Ok(());
-                }
-                continue;
-            }
-            let (addr, cache_routed) = match pending.take() {
-                Some(a) => (a, false),
-                None => {
-                    route.restart();
-                    let mut cx = self.op_cx();
-                    let addr =
-                        drive_blocking(&mut cx, meta, |cx, meta, c| route.step(cx, meta, c))?;
-                    (addr, route.route_from_cache())
+        // One locate carried across every retry: a route that led astray
+        // is scrubbed before the next attempt, and every retry backs off and
+        // applies the invalidations delivered meanwhile (a retired node's
+        // `Invalidate` must not wait for the next op boundary).
+        let mut locate = Locate::new(sep_key, parent_level, LeafRpc::Off, "separator insertion");
+        loop {
+            let addr = match self.locate(&mut locate, meta)? {
+                Located::Node { addr, .. } => addr,
+                Located::Shallow => {
+                    if self.try_grow_root(sep_key, child, parent_level)? {
+                        return Ok(());
+                    }
+                    // Lost the root-growth race: the winner's root is next.
+                    locate.relocate(&mut self.op_cx(), sep_key);
+                    continue;
                 }
             };
             self.acquire_lock(addr, meta)?;
 
             let buf = self.read_node_locked(addr)?;
             let mut node = self.layout().decode_internal(&buf);
-            let usable = !node.header.free
-                && !node.header.is_leaf
-                && node.header.level == parent_level
-                && node.header.covers(sep_key);
-            if !usable {
+            if !locate.accepts(&node.header) {
                 self.release_lock(addr, Vec::new())?;
-                if cache_routed || node.header.free {
-                    // The type-❷ cache handed out this address without the
-                    // traversal reading it (or it is a tombstone): scrub
-                    // every cached route to it, as leaf mismatches do.
-                    if cache_routed && node.header.free {
-                        self.cluster.coherence_counters().record_stale_hit();
-                    }
-                    self.cluster.cache(self.cs_id).invalidate_addr(addr);
-                }
-                if !node.header.free
-                    && node.header.level == parent_level
-                    && sep_key >= node.header.fence_high
-                {
-                    pending = node.header.sibling;
-                }
+                locate.reject(&mut self.op_cx(), addr, &node.header);
                 continue;
             }
 
@@ -708,10 +617,6 @@ impl<B: FabricBackend> TreeClient<B> {
             }
             return self.insert_separator_at(promoted, right_addr, parent_level + 1, meta);
         }
-        Err(TreeError::RetriesExhausted {
-            context: "separator insertion",
-            attempts: restarts,
-        })
     }
 
     /// Attempt to install a new root above the current one.  Returns `false`
@@ -764,21 +669,16 @@ impl<B: FabricBackend> TreeClient<B> {
         let mut free_flag = [0u8; 1];
         free_flag[0] = crate::layout::FLAG_FREE;
         self.ctx.write(new_root_addr.add(1), &free_flag)?;
-        // The orphan was never reachable, so its address can be retired right
-        // away under the reclamation scheme instead of leaking — independent
-        // of whether structural deletes are on (the
-        // `TreeOptions::reclaim_root_orphans` escape hatch restores the
-        // paper's leak-on-loss behaviour).
-        if self.cluster.options().reclaim_root_orphans {
-            // Even a never-reachable orphan goes through the publish →
-            // retire protocol: a racing reader may have cached the stale
-            // root pointer's target, and the invariant "every retirement
-            // posted its invalidations" stays uniform.
-            let mut commit = StructuralCommit::new();
-            commit.invalidate(new_root_addr, new_root.header.front_version);
-            let published = self.publish_commit(commit);
-            published.retire_all(&self.cluster, self.ctx.now());
-        }
+        // The orphan was never reachable, so its address is retired right
+        // away instead of leaking — independent of whether structural
+        // deletes are on.  Even a never-reachable orphan goes through the
+        // publish → retire protocol: a racing reader may have cached the
+        // stale root pointer's target, and the invariant "every retirement
+        // posted its invalidations" stays uniform.
+        let mut commit = StructuralCommit::new();
+        commit.invalidate(new_root_addr, new_root.header.front_version);
+        let published = self.publish_commit(commit);
+        published.retire_all(&self.cluster, self.ctx.now());
         Ok(false)
     }
 
@@ -796,26 +696,21 @@ impl<B: FabricBackend> TreeClient<B> {
         let t0 = self.ctx.now();
         let _pin = self.reader.pin();
         let mut meta = OpMeta::default();
-        let mut sm = WriteSM::new(&self.op_cx(), key, WriteKind::Delete);
+        let mut sm = WriteSM::new(key, WriteKind::Delete);
         let deleted = self.drive_write(&mut meta, |client, meta, c| sm.step(client, meta, c))?;
         Ok((deleted, self.finish(before, t0, meta)))
     }
 
     /// The delete commit, given the image of the leaf at `addr` read under
-    /// its lock — the twin of [`TreeClient::insert_commit`].  A delete that
-    /// leaves the leaf underfull hands back the structural merge as the
-    /// tail.
+    /// its lock (already validated) — the twin of
+    /// [`TreeClient::insert_commit`].  A delete that leaves the leaf
+    /// underfull hands back the structural merge as the tail.
     pub(crate) fn delete_commit(
         &mut self,
         addr: GlobalAddress,
-        source: LeafSource,
         key: u64,
         buf: &[u8],
     ) -> TreeResult<(WriteCommit, Option<PendingVerb>)> {
-        let header = self.layout().decode_header(buf);
-        if header.free || !header.is_leaf || !header.covers(key) {
-            return self.commit_mismatch(addr, source, key, &header);
-        }
         let mut leaf = self.layout().decode_leaf(buf);
 
         let Some(slot) = leaf.slot_of(key) else {
@@ -938,9 +833,10 @@ impl<B: FabricBackend> TreeClient<B> {
     /// (the child routed right after the node, sanity-checked against the
     /// node's own B-link pointer and fence) and the same-parent left sibling
     /// (the preceding child, or the parent's leftmost).  Returns
-    /// [`MergePartners`]; the answer is `None` when the node cannot be
-    /// located under the covering parent (a stale header or a lost discovery
-    /// race — the merge is opportunistic either way).
+    /// [`MergePartners`]; the answer is `None` when the tree has no parent
+    /// level or the node cannot be located under the covering parent (a
+    /// stale header or a lost discovery race — the merge is opportunistic
+    /// either way).
     fn find_merge_pair(
         &mut self,
         node_addr: GlobalAddress,
@@ -948,66 +844,51 @@ impl<B: FabricBackend> TreeClient<B> {
         level: u8,
         meta: &mut OpMeta,
     ) -> TreeResult<Option<MergePartners>> {
-        let (_, root_level) = self.root()?;
-        if root_level < level + 1 {
-            return Ok(None);
-        }
-        let restarts = self.cluster.config().max_restarts;
-        let mut pending: Option<GlobalAddress> = None;
-        for _ in 0..restarts {
-            let addr = match pending.take() {
-                Some(a) => a,
-                None => match self.traverse_to_level(hdr.fence_low, level + 1, meta) {
-                    Ok(a) => a,
-                    Err(TreeError::RetriesExhausted { .. }) => return Ok(None),
-                    Err(e) => return Err(e),
-                },
+        let mut locate = Locate::new(hdr.fence_low, level + 1, LeafRpc::Off, "merge discovery");
+        let (addr, parent) = loop {
+            let addr = match self.locate(&mut locate, meta)? {
+                Located::Node { addr, .. } => addr,
+                Located::Shallow => return Ok(None),
             };
             let buf = self.read_node_consistent(addr, meta)?;
             let parent = self.layout().decode_internal(&buf);
-            if parent.header.free || parent.header.is_leaf || parent.header.level != level + 1 {
-                continue;
+            if locate.accepts(&parent.header) {
+                break (addr, parent);
             }
-            if !parent.header.covers(hdr.fence_low) {
-                if hdr.fence_low >= parent.header.fence_high {
-                    pending = parent.header.sibling;
-                }
-                continue;
-            }
-            // The child routed right after the node is its same-parent right
-            // sibling — but only trust it when it agrees with the node's own
-            // B-link pointer and upper fence (any disagreement is a racing
-            // split/merge that the under-lock revalidation would reject).
-            let right_of = |next: Option<&InternalEntry>| {
-                next.filter(|e| e.key == hdr.fence_high && Some(e.child) == hdr.sibling)
-                    .map(|e| e.child)
-            };
-            if parent.header.leftmost == Some(node_addr) {
-                return Ok(Some(MergePartners {
-                    parent: addr,
-                    right_sibling: right_of(parent.entries.first()),
-                    left_sibling: None,
-                }));
-            }
-            let Some(pos) = parent
-                .entries
-                .iter()
-                .position(|e| e.key == hdr.fence_low && e.child == node_addr)
-            else {
-                return Ok(None);
-            };
-            let left = if pos == 0 {
-                parent.header.leftmost
-            } else {
-                Some(parent.entries[pos - 1].child)
-            };
+            locate.reject(&mut self.op_cx(), addr, &parent.header);
+        };
+        // The child routed right after the node is its same-parent right
+        // sibling — but only trust it when it agrees with the node's own
+        // B-link pointer and upper fence (any disagreement is a racing
+        // split/merge that the under-lock revalidation would reject).
+        let right_of = |next: Option<&InternalEntry>| {
+            next.filter(|e| e.key == hdr.fence_high && Some(e.child) == hdr.sibling)
+                .map(|e| e.child)
+        };
+        if parent.header.leftmost == Some(node_addr) {
             return Ok(Some(MergePartners {
                 parent: addr,
-                right_sibling: right_of(parent.entries.get(pos + 1)),
-                left_sibling: left,
+                right_sibling: right_of(parent.entries.first()),
+                left_sibling: None,
             }));
         }
-        Ok(None)
+        let Some(pos) = parent
+            .entries
+            .iter()
+            .position(|e| e.key == hdr.fence_low && e.child == node_addr)
+        else {
+            return Ok(None);
+        };
+        let left = if pos == 0 {
+            parent.header.leftmost
+        } else {
+            Some(parent.entries[pos - 1].child)
+        };
+        Ok(Some(MergePartners {
+            parent: addr,
+            right_sibling: right_of(parent.entries.get(pos + 1)),
+            left_sibling: left,
+        }))
     }
 
     /// Try to merge the underfull node at `node_addr` (level `level`) with an
@@ -1474,11 +1355,7 @@ impl<B: FabricBackend> TreeClient<B> {
     /// slot admission, the same points, which keeps depth-1 pipelining
     /// byte-for-byte identical to blocking.  Costs no virtual time.
     pub(crate) fn drain_coherence(&mut self) {
-        let msgs = self.ctx.drain_coherence();
-        if !msgs.is_empty() {
-            let now = self.ctx.now();
-            coherence::apply(&self.cluster, self.cs_id, now, &msgs);
-        }
+        self.op_cx().drain_coherence();
     }
 
     /// Wait (in virtual time) until every coherence message already posted
@@ -1502,6 +1379,7 @@ impl<B: FabricBackend> TreeClient<B> {
         let mut stats = OpStats::from_delta(&before, &after, self.ctx.now() - t0);
         stats.lock_retries = meta.lock_retries;
         stats.read_retries = meta.read_retries;
+        stats.restarts = meta.restarts;
         stats.handed_over = meta.handed_over;
         stats.cache_hit = meta.cache_hit;
         stats
@@ -1516,6 +1394,16 @@ mod tests {
 
     fn small_cluster(options: TreeOptions) -> Arc<Cluster> {
         Cluster::new(ClusterConfig::small(), options)
+    }
+
+    /// The node covering `key` at `level`, located the way the structural
+    /// tails locate it (not read at that level).
+    fn locate(client: &mut TreeClient, key: u64, level: u8) -> GlobalAddress {
+        let mut locate = Locate::new(key, level, LeafRpc::Off, "test");
+        match client.locate(&mut locate, &mut OpMeta::default()).unwrap() {
+            Located::Node { addr, .. } => addr,
+            Located::Shallow => panic!("the tree has no level {level}"),
+        }
     }
 
     #[test]
@@ -1829,10 +1717,10 @@ mod tests {
     /// The separator-insertion livelock: the type-❷ cache holds a stale root
     /// image whose child for the key — a level-2 node in its day — is now a
     /// leaf (a freed node recycled as one), and no level-2 image covers the
-    /// key.  The traversal to level 2 returns that address without reading
-    /// it; separator insertion must scrub the route and distrust shortcuts
-    /// on its retry instead of following it until the restart budget runs
-    /// out.
+    /// key.  The locate at level 2 returns that address without reading it;
+    /// separator insertion must hand it back to the locate, which scrubs the
+    /// route before re-locating, instead of following it until the restart
+    /// budget runs out.
     #[test]
     fn separator_insertion_recovers_from_a_cache_route_to_a_recycled_node() {
         let cluster = small_cluster(TreeOptions::sherman());
@@ -1849,12 +1737,12 @@ mod tests {
 
         // Re-inserting a separator the level-2 parent already holds is a
         // structural no-op, so the insertion itself cannot disturb the tree.
-        let parent = client.traverse_to_level(key, 2, &mut meta).unwrap();
+        let parent = locate(&mut client, key, 2);
         let buf = client.read_node_consistent(parent, &mut meta).unwrap();
         let before = cluster.layout().decode_internal(&buf);
         let sep = before.entries[before.entries.len() / 2];
 
-        let leaf = client.traverse_to_level(key, 0, &mut meta).unwrap();
+        let leaf = locate(&mut client, key, 0);
         cluster
             .cache(0)
             .set_top_levels(vec![Arc::new(sherman_cache::CachedInternal {
@@ -1875,6 +1763,52 @@ mod tests {
             cluster.layout().decode_internal(&buf).entries,
             before.entries
         );
+        for k in (0..n).step_by(101) {
+            assert_eq!(client.lookup(k).unwrap().0, Some(k + 1), "key {k}");
+        }
+    }
+
+    /// The merge-discovery twin of the separator-insertion livelock: a stale
+    /// level-2 type-❷ entry routes every level-1 locate to a leaf.  Merge
+    /// discovery must reject that answer — scrubbing the route — and find
+    /// the real parent in a handful of reads, not follow the same shortcut
+    /// until its restart budget runs out (10,001 reads) and give up.
+    #[test]
+    fn merge_discovery_recovers_from_a_stale_top_route() {
+        // At a 0.9 merge threshold every bulkloaded (80 % full) leaf is a
+        // merge candidate.
+        let cluster = small_cluster(TreeOptions {
+            merge_threshold: 0.9,
+            ..TreeOptions::sherman()
+        });
+        let n = 3_000u64;
+        cluster.bulkload((0..n).map(|k| (k, k + 1))).unwrap();
+        assert_eq!(
+            cluster.root_hint().unwrap().level,
+            3,
+            "the scenario needs a level-2 node below the root"
+        );
+        let mut client = cluster.client(0);
+        let level2 = locate(&mut client, n / 2, 2);
+        let decoy = locate(&mut client, n / 4, 0);
+        let target = locate(&mut client, n / 2, 0);
+        cluster
+            .cache(0)
+            .set_top_levels(vec![Arc::new(sherman_cache::CachedInternal {
+                addr: level2,
+                fence_low: 0,
+                fence_high: u64::MAX,
+                level: 2,
+                version: 1,
+                leftmost: decoy,
+                children: Vec::new(),
+            })]);
+
+        let before = client.fabric_stats();
+        let mut meta = OpMeta::default();
+        client.try_merge(target, 0, &mut meta).unwrap();
+        let reads = client.fabric_stats().delta_since(&before).reads;
+        assert!(reads <= 16, "merge discovery spent {reads} reads");
         for k in (0..n).step_by(101) {
             assert_eq!(client.lookup(k).unwrap().0, Some(k + 1), "key {k}");
         }

@@ -22,12 +22,6 @@ pub struct TreeConfig {
     /// Chunk size used by the two-stage allocator (8 MB in the paper; tests
     /// use something smaller).
     pub chunk_bytes: u64,
-    /// Upper bound on consistency-check retries of a single read before the
-    /// operation is reported as failed (guards against livelock bugs; the
-    /// paper's wraparound guard serves the same purpose).
-    pub max_read_retries: u32,
-    /// Upper bound on traversal restarts per operation.
-    pub max_restarts: u32,
 }
 
 impl Default for TreeConfig {
@@ -39,8 +33,6 @@ impl Default for TreeConfig {
             leaf_fill: 0.8,
             cache_bytes: 16 << 20,
             chunk_bytes: 1 << 20,
-            max_read_retries: 1_000,
-            max_restarts: 10_000,
         }
     }
 }
@@ -192,14 +184,6 @@ pub struct TreeOptions {
     /// a rightmost child folds into its left sibling instead.  `0.0` disables
     /// merging and reproduces the paper's grow-only behaviour.
     pub merge_threshold: f64,
-    /// Whether a root-growth race that was *lost* retires its never-reachable
-    /// orphan node through the free list (the reclamation scheme still
-    /// decides when the address recycles).  Enabled by default — the orphan
-    /// was never linked into the tree, so retiring it is safe regardless of
-    /// whether structural deletes are on.  Disable for strict paper-faithful
-    /// mode, where the loser merely tombstones the node and leaks its address
-    /// (the paper's free-bit-only deallocation).
-    pub reclaim_root_orphans: bool,
     /// Default in-flight depth of the pipelined read scheduler
     /// (`TreeClient::run_pipelined`): how many logical lookups/scans one
     /// client thread multiplexes over its single fabric context.  `1` (the
@@ -233,7 +217,6 @@ impl TreeOptions {
             lock_strategy: LockStrategy::HostCasFaa,
             leaf_format: LeafFormat::SortedChecksum,
             merge_threshold: Self::DEFAULT_MERGE_THRESHOLD,
-            reclaim_root_orphans: true,
             pipeline_depth: Self::DEFAULT_PIPELINE_DEPTH,
             offload: OffloadPolicy::Never,
         }
@@ -247,7 +230,6 @@ impl TreeOptions {
             lock_strategy: LockStrategy::HostCasWrite,
             leaf_format: LeafFormat::SortedNodeVersion,
             merge_threshold: Self::DEFAULT_MERGE_THRESHOLD,
-            reclaim_root_orphans: true,
             pipeline_depth: Self::DEFAULT_PIPELINE_DEPTH,
             offload: OffloadPolicy::Never,
         }
@@ -264,17 +246,6 @@ impl TreeOptions {
     /// Whether deletes may merge underfull nodes and reclaim their memory.
     pub fn structural_deletes_enabled(&self) -> bool {
         self.merge_threshold > 0.0
-    }
-
-    /// Strict paper-faithful mode for lost root-growth races: the orphan node
-    /// is tombstoned but its address leaks (the paper only ever clears a free
-    /// bit).  By default the orphan is retired through the epoch-reclaimed
-    /// free list, independent of whether structural deletes are enabled.
-    pub fn with_paper_faithful_orphan_leak(self) -> Self {
-        TreeOptions {
-            reclaim_root_orphans: false,
-            ..self
-        }
     }
 
     /// Set the pipelined read scheduler's default in-flight depth.
@@ -388,8 +359,7 @@ mod tests {
                 lock_strategy: LockStrategy::HostCasFaa,
                 leaf_format: LeafFormat::SortedChecksum,
                 merge_threshold: TreeOptions::DEFAULT_MERGE_THRESHOLD,
-                reclaim_root_orphans: true,
-                pipeline_depth: TreeOptions::DEFAULT_PIPELINE_DEPTH,
+                    pipeline_depth: TreeOptions::DEFAULT_PIPELINE_DEPTH,
                 offload: OffloadPolicy::Never,
             }
         );
@@ -401,8 +371,7 @@ mod tests {
                 lock_strategy: LockStrategy::HostCasWrite,
                 leaf_format: LeafFormat::SortedNodeVersion,
                 merge_threshold: TreeOptions::DEFAULT_MERGE_THRESHOLD,
-                reclaim_root_orphans: true,
-                pipeline_depth: TreeOptions::DEFAULT_PIPELINE_DEPTH,
+                    pipeline_depth: TreeOptions::DEFAULT_PIPELINE_DEPTH,
                 offload: OffloadPolicy::Never,
             }
         );
@@ -458,25 +427,6 @@ mod tests {
         assert!(LeafFormat::SortedNodeVersion.is_sorted());
         assert!(LeafFormat::SortedChecksum.is_sorted());
         assert!(!LeafFormat::UnsortedTwoLevel.is_sorted());
-    }
-
-    #[test]
-    fn orphan_reclamation_defaults_on_with_a_paper_faithful_escape_hatch() {
-        for (_, options) in TreeOptions::ablation_ladder() {
-            assert!(options.reclaim_root_orphans);
-        }
-        // Grow-only mode still reclaims lost-race orphans by default …
-        assert!(
-            TreeOptions::sherman()
-                .without_structural_deletes()
-                .reclaim_root_orphans
-        );
-        // … unless strict paper-faithful mode is requested.
-        let faithful = TreeOptions::sherman().with_paper_faithful_orphan_leak();
-        assert!(!faithful.reclaim_root_orphans);
-        // Nothing else is touched.
-        assert_eq!(faithful.merge_threshold, TreeOptions::sherman().merge_threshold);
-        assert_eq!(faithful.leaf_format, TreeOptions::sherman().leaf_format);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //!
 //! * [`ReadNodeSM`] — the node-image consistency loop (post a node read,
 //!   validate versions/checksum on completion, repost on a torn image),
-//! * [`TraverseSM`] — the root/cache-seeded descent to a target level,
-//! * [`LookupSM`] — point lookup: locate the leaf, validate, chase siblings,
+//! * [`Locate`] — find the node covering a key at a level: the type-❶ cache,
+//!   a type-❷ shortcut, a root-first descent, or (leaves only) the offload
+//!   RPC; it owns the op's restart budget and the one mismatch rule,
+//! * [`LookupSM`] — point lookup: locate the leaf, validate, retry,
 //! * [`RangeSM`] — range scan: the cached parallel leaf batch plus the
 //!   sibling-chain walk with tombstone re-location,
 //! * [`WriteSM`] — insert, update and delete: locate the leaf (yielding
@@ -23,6 +25,30 @@
 //! verb at a time ([`drive_blocking`] and its write-path twin), so a
 //! pipelined run at depth 1 and the classic blocking path execute
 //! byte-for-byte the same verbs in the same order.
+//!
+//! ## One locate-and-restart discipline
+//!
+//! Every operation — lookups, writes, a scan's seek and the structural tails
+//! (separator insertion, merge discovery) — finds its node through one
+//! [`Locate`] and hands back any node that turns out not to cover the key
+//! through [`Locate::reject`], the one mismatch rule:
+//!
+//! 1. scrub every cached route to a tombstone or to a cache-routed address
+//!    (counting a *stale hit* when a cache route led to a tombstone; a root
+//!    hint that led astray is re-read from the superblock next time) — only
+//!    an internal node the descent reads on the way keeps its route when the
+//!    chase below corrects it — then
+//! 2. chase the B-link sibling when the key lies right of the node's fence at
+//!    its level, and otherwise drain the coherence inbox and re-locate
+//!    cache-first.
+//!
+//! Scrubbing before the retry is what keeps a stale route from being
+//! followed until the budget runs out (the stale window, see
+//! `docs/ARCHITECTURE.md`).  Every attempt after the first — a re-locate, a
+//! sibling chase, a torn-image re-read — goes through one [`Restarts`]
+//! budget type: it backs off, is charged to the op's restart count
+//! ([`OpMeta::restarts`], surfaced as `OpStats::restarts`), and fails the op
+//! with the typed `RetriesExhausted` once spent.
 //!
 //! ## Lock critical sections yield at every verb
 //!
@@ -49,11 +75,11 @@
 //! acquire inside the tail therefore never CPU-polls a lock held by an op
 //! parked on its own thread, which could never release it.
 //!
-//! Rare control-path reads (the remote root pointer refresh on a distrusted
-//! restart) stay blocking inside a step: they occur only after a lost race
-//! under structural churn, and a blocking sub-poll merely observes other
-//! outstanding completions later — it never stalls the clock (completion
-//! times are fixed at post time).
+//! Rare control-path reads (the remote root pointer refresh after the root
+//! hint routed astray) stay blocking inside a step: they occur only after a
+//! lost race under structural churn, and a blocking sub-poll merely observes
+//! other outstanding completions later — it never stalls the clock
+//! (completion times are fixed at post time).
 
 use crate::client::TreeClient;
 use crate::cluster::Cluster;
@@ -65,38 +91,72 @@ use sherman_cache::{CachedInternal, ChildRef};
 use sherman_locks::{cas_won, LocalTicket, LocalTry};
 use sherman_memserver::ServerLayout;
 use sherman_sim::{
-    ClientCtx, Completion, Fabric, FabricBackend, GlobalAddress, PendingVerb, RpcLeafReply,
-    RpcLevel1Image, RpcNodeInfo, RpcRangeReply, RpcRequest, RpcResponse,
+    ClientCtx, Completion, Fabric, FabricBackend, FabricChannel, GlobalAddress, PendingVerb,
+    RpcLeafReply, RpcLevel1Image, RpcNodeInfo, RpcRangeReply, RpcRequest, RpcResponse,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
-
-/// Where a leaf address came from (used for cache invalidation decisions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LeafSource {
-    /// Served by the type-❶ index cache; holds the cached node's lower fence
-    /// key so the entry can be invalidated on a mismatch.
-    Cache {
-        /// Lower fence of the cached parent (the cache's invalidation key).
-        fence_low: u64,
-    },
-    /// Served directly by a type-❷ always-cached level-1 image (the
-    /// traversal shortcut bottomed out in the cache without reading a single
-    /// node); invalidated by address on a mismatch.
-    TopCache,
-    /// Found by traversing internal nodes.
-    Traversal,
-    /// Reached by following a sibling pointer.
-    Sibling,
-}
 
 /// Book-keeping accumulated while executing one operation.
 #[derive(Debug, Default)]
 pub(crate) struct OpMeta {
     pub read_retries: u64,
     pub lock_retries: u64,
+    /// Attempts beyond the first across every [`Restarts`] budget the op
+    /// ran (re-locations, sibling chases, torn-image re-reads), structural
+    /// tail included.
+    pub restarts: u64,
     pub handed_over: bool,
     pub cache_hit: bool,
+}
+
+/// Upper bound on consistency-check reads of a single node image before the
+/// operation is reported as failed (guards against livelock bugs; the
+/// paper's wraparound guard serves the same purpose).
+const MAX_READ_RETRIES: u32 = 1_000;
+
+/// Upper bound on one operation's location attempts: re-locations plus
+/// B-link sibling chases.
+const MAX_RESTARTS: u32 = 10_000;
+
+/// One retry budget: counts attempts, backs off before every attempt after
+/// the first (`contention_backoff`, a no-op on the virtual clock), charges
+/// each such retry to [`OpMeta::restarts`], and fails with the typed
+/// `RetriesExhausted` once `limit` attempts were spent.
+struct Restarts {
+    context: &'static str,
+    limit: u32,
+    spent: u32,
+}
+
+impl Restarts {
+    fn new(context: &'static str, limit: u32) -> Self {
+        Restarts {
+            context,
+            limit,
+            spent: 0,
+        }
+    }
+
+    /// Begin the next attempt, or fail when the budget is spent.
+    fn attempt<C: FabricChannel>(
+        &mut self,
+        ctx: &ClientCtx<C>,
+        meta: &mut OpMeta,
+    ) -> TreeResult<()> {
+        if self.spent == self.limit {
+            return Err(TreeError::RetriesExhausted {
+                context: self.context,
+                attempts: self.limit,
+            });
+        }
+        if self.spent > 0 {
+            ctx.contention_backoff(self.spent);
+            meta.restarts += 1;
+        }
+        self.spent += 1;
+        Ok(())
+    }
 }
 
 /// What a parked machine waits for before its next `step` call.
@@ -164,11 +224,10 @@ impl<B: FabricBackend> OpCx<'_, B> {
     }
 
     /// Drain this compute server's coherence inbox and apply every
-    /// deliverable message (the same `TreeClient::drain_coherence` logic,
-    /// available to state machines mid-operation).  The offload arm calls
-    /// this right before its placement decision so the decision — and the
-    /// tombstone floor it validates replies against — sees the freshest
-    /// cache state.  Costs no virtual time.
+    /// deliverable message — at op boundaries (`TreeClient::drain_coherence`)
+    /// and mid-operation: before an offload placement decision, so it and
+    /// the tombstone floor it validates replies against see the freshest
+    /// cache state, and before every re-locate.  Costs no virtual time.
     pub(crate) fn drain_coherence(&mut self) {
         let msgs = self.ctx.drain_coherence();
         if !msgs.is_empty() {
@@ -196,62 +255,6 @@ pub(crate) fn cached_from_internal(addr: GlobalAddress, node: &InternalNode) -> 
             })
             .collect(),
     }
-}
-
-/// Handle a leaf that turned out not to cover `key`: invalidate the stale
-/// cache entry and either follow the sibling pointer or ask for a fresh
-/// traversal.  Returns the next address to try, or `None` to re-locate.
-///
-/// Observing a tombstone always scrubs every local cached route to it
-/// (`invalidate_addr`), whatever routed the operation here: with coherence
-/// messages in flight rather than applied synchronously, this local
-/// self-heal is what keeps a stale route from being retried forever before
-/// the `Invalidate` message lands.
-pub(crate) fn next_after_mismatch<B: FabricBackend>(
-    cx: &mut OpCx<'_, B>,
-    key: u64,
-    addr: GlobalAddress,
-    header: &NodeHeader,
-    source: LeafSource,
-) -> Option<GlobalAddress> {
-    let cache = cx.cluster.cache(cx.cs_id);
-    match source {
-        LeafSource::Cache { fence_low } => cache.invalidate(fence_low),
-        LeafSource::TopCache => cache.invalidate_addr(addr),
-        LeafSource::Traversal | LeafSource::Sibling => {}
-    }
-    if header.free {
-        cache.invalidate_addr(addr);
-        return None;
-    }
-    if key >= header.fence_high {
-        if let Some(sib) = header.sibling {
-            return Some(sib);
-        }
-    }
-    None
-}
-
-/// Outcome of the synchronous half of leaf location: either the index cache
-/// answered immediately, or a traversal must run.
-pub(crate) enum LocateStart {
-    Cached(GlobalAddress, LeafSource),
-    Traverse(TraverseSM),
-}
-
-/// Begin locating the leaf that should hold `key`, preferring the index
-/// cache (no verb is posted here; a returned [`TraverseSM`] posts them).
-pub(crate) fn locate_start<B: FabricBackend>(cx: &mut OpCx<'_, B>, meta: &mut OpMeta, key: u64) -> LocateStart {
-    if let Some(cached) = cx.cluster.cache(cx.cs_id).lookup_covering(key) {
-        meta.cache_hit = true;
-        return LocateStart::Cached(
-            cached.child_for(key),
-            LeafSource::Cache {
-                fence_low: cached.fence_low,
-            },
-        );
-    }
-    LocateStart::Traverse(TraverseSM::new(cx, key, 0))
 }
 
 /// Drive a state-machine step function to completion with one verb in flight
@@ -461,17 +464,17 @@ impl OffloadSM {
 
 /// The lock-free node-image read: post `RDMA_READ`s of the node until an
 /// image passes the node-level consistency check (version pair or checksum),
-/// bounded by `max_read_retries`.
+/// on a [`Restarts`] budget of [`MAX_READ_RETRIES`] reads.
 pub(crate) struct ReadNodeSM {
     addr: GlobalAddress,
-    attempts_left: u32,
+    reads: Restarts,
 }
 
 impl ReadNodeSM {
-    pub(crate) fn new<B: FabricBackend>(cx: &OpCx<'_, B>, addr: GlobalAddress) -> Self {
+    pub(crate) fn new(addr: GlobalAddress) -> Self {
         ReadNodeSM {
             addr,
-            attempts_left: cx.cluster.config().max_read_retries,
+            reads: Restarts::new("node-level consistency check", MAX_READ_RETRIES),
         }
     }
 
@@ -481,148 +484,351 @@ impl ReadNodeSM {
         meta: &mut OpMeta,
         completion: Option<Completion>,
     ) -> TreeResult<Step<Vec<u8>>> {
+        let Some(c) = completion else {
+            return Ok(Step::Pending(self.post(cx, meta)?));
+        };
+        if cx.cluster.options().offload.may_offload() {
+            // Feed the adaptive placement policy's latency estimate from
+            // real completions of the reads it is trying to replace.
+            cx.cluster
+                .offload_counters(cx.cs_id)
+                .observe_read_ns(c.completed_at.saturating_sub(c.posted_at));
+        }
+        let buf = c.result.into_read();
+        if cx.node_image_consistent(&buf) {
+            cx.ctx.charge_scan(cx.cluster.layout().node_size());
+            return Ok(Step::Done(buf));
+        }
+        Ok(Step::Pending(self.retry(cx, meta)?))
+    }
+
+    /// Re-read a torn image — torn at node level, or at entry level as the
+    /// caller's two-level version check found — on the same budget.
+    pub(crate) fn retry<B: FabricBackend>(
+        &mut self,
+        cx: &mut OpCx<'_, B>,
+        meta: &mut OpMeta,
+    ) -> TreeResult<Park> {
+        meta.read_retries += 1;
+        cx.ctx.note_retries(1);
+        self.post(cx, meta)
+    }
+
+    fn post<B: FabricBackend>(
+        &mut self,
+        cx: &mut OpCx<'_, B>,
+        meta: &mut OpMeta,
+    ) -> TreeResult<Park> {
+        self.reads.attempt(cx.ctx, meta)?;
         let node_size = cx.cluster.layout().node_size();
-        if let Some(c) = completion {
-            if cx.cluster.options().offload.may_offload() {
-                // Feed the adaptive placement policy's latency estimate from
-                // real completions of the reads it is trying to replace.
-                cx.cluster
-                    .offload_counters(cx.cs_id)
-                    .observe_read_ns(c.completed_at.saturating_sub(c.posted_at));
-            }
-            let buf = c.result.into_read();
-            if cx.node_image_consistent(&buf) {
-                cx.ctx.charge_scan(node_size);
-                return Ok(Step::Done(buf));
-            }
-            meta.read_retries += 1;
-            cx.ctx.note_retries(1);
-            let attempt = cx.cluster.config().max_read_retries - self.attempts_left;
-            cx.ctx.contention_backoff(attempt);
-        }
-        if self.attempts_left == 0 {
-            return Err(TreeError::RetriesExhausted {
-                context: "node-level consistency check",
-                attempts: cx.cluster.config().max_read_retries,
-            });
-        }
-        self.attempts_left -= 1;
         let token = cx.ctx.post_read(self.addr, node_size)?;
-        Ok(Step::Pending(Park::Verb(token)))
+        Ok(Park::Verb(token))
     }
 }
 
 // ----------------------------------------------------------------------
-// Traversal
+// Locate
 // ----------------------------------------------------------------------
 
-/// One traversal attempt's cursor (reset on every restart).
-struct TraverseAttempt {
-    root_level: u8,
-    /// Whether this attempt lazily repairs the type-❷ top set from the
-    /// internal nodes it reads anyway (set when the cache had no usable
-    /// answer).
-    repair_top: bool,
+/// How an address handed out (or visited) by [`Locate`] was routed: decides
+/// which cached route a mismatch scrubs.
+#[derive(Clone, Copy)]
+enum Route {
+    /// The type-❶ index cache; holds the cached level-1 node's lower fence
+    /// key (the cache's invalidation key).
+    Cache { fence_low: u64 },
+    /// A type-❷ always-cached top-level image (invalidated by address).
+    TopCache,
+    /// The local root hint.
+    Root,
+    /// A child pointer in a node image just read, or the offload RPC's walk.
+    Traversal,
+    /// A B-link sibling pointer (also a range scan's own leaf batch and
+    /// chain walk).
+    Sibling,
+}
+
+/// An address [`Locate`] visits, the level it expects there, and its route.
+#[derive(Clone, Copy)]
+struct Hop {
     addr: GlobalAddress,
-    /// Whether `addr` was routed by the type-❷ cache (vs the root pointer
-    /// or a freshly read parent).  Landing on a freed node through a cached
-    /// route is a *stale hit*: an in-flight coherence invalidation had
-    /// already retired it.
-    addr_from_cache: bool,
-    expect_level: u8,
-    read: Option<ReadNodeSM>,
+    level: u8,
+    route: Route,
 }
 
-/// Walk down from the root (or the cached top levels) to the node at
-/// `target_level` whose key interval contains `key` — the resumable form of
-/// the traversal loop, yielding one posted node read at a time.
-pub(crate) struct TraverseSM {
+/// Whether a locate for leaves may post the one-shot offload RPC.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LeafRpc {
+    /// Never (scans offload their own range RPC; internal levels never do).
+    Off,
+    /// A traverse RPC on a cache miss, when the placement policy says so.
+    Traverse,
+    /// As `Traverse`, and under `OffloadPolicy::Always` a leaf-search RPC
+    /// even on a type-❶ hit (lookups).
+    Search,
+}
+
+/// What a [`Locate`] attempt resolved to.
+pub(crate) enum Located {
+    /// The node that should cover the key at the level sought — not yet
+    /// read at that level, so the caller validates it with
+    /// [`Locate::accepts`] and hands a mismatch back via
+    /// [`Locate::reject`].  `reply` is the offload RPC's validated leaf
+    /// reply when the server walked there.
+    Node {
+        addr: GlobalAddress,
+        reply: Option<RpcLeafReply>,
+    },
+    /// The tree has no level this high yet (root growth is the caller's).
+    Shallow,
+}
+
+enum Cursor {
+    /// Start a fresh attempt: type-❶ cache, offload RPC, type-❷ or root.
+    Fresh,
+    /// Chase a B-link sibling (a retry, charged like a fresh attempt).
+    Chase(Hop),
+    /// Visit `hop`: hand it out at the level sought, read it above.
+    Visit { hop: Hop, read: Option<ReadNodeSM> },
+    /// The offload RPC is in flight; `fallback` is the type-❶ route it
+    /// replaced (`Always` on a warm cache).
+    Offload {
+        sm: OffloadSM,
+        fallback: Option<Hop>,
+    },
+    /// Handed out to the caller.
+    Found(Hop),
+}
+
+/// Find the node covering `key` at `level` — the resumable locate every
+/// operation runs, yielding one posted node read (or RPC) at a time.  It
+/// carries the op's location budget across every retry and applies the one
+/// mismatch rule (see the module docs).
+pub(crate) struct Locate {
     key: u64,
-    target_level: u8,
-    attempts_left: u32,
-    first_attempt: bool,
-    attempt: Option<TraverseAttempt>,
+    level: u8,
+    rpc: LeafRpc,
+    restarts: Restarts,
+    /// Set when the root hint routed to a node that did not check out: the
+    /// next attempt re-reads the root pointer from the superblock.
+    stale_root: bool,
+    /// The root level, when this attempt repairs the type-❷ top set from
+    /// the internal nodes it reads (set when the cache had no usable
+    /// answer).
+    repair_top: Option<u8>,
+    cursor: Cursor,
 }
 
-impl TraverseSM {
-    pub(crate) fn new<B: FabricBackend>(cx: &OpCx<'_, B>, key: u64, target_level: u8) -> Self {
-        TraverseSM {
+/// Whether `header` is a live node at `level` (a leaf exactly at level 0).
+fn at_level(header: &NodeHeader, level: u8) -> bool {
+    !header.free && header.level == level && header.is_leaf == (level == 0)
+}
+
+impl Locate {
+    /// `context` names the operation in a `RetriesExhausted` error.
+    pub(crate) fn new(key: u64, level: u8, rpc: LeafRpc, context: &'static str) -> Self {
+        Locate {
             key,
-            target_level,
-            attempts_left: cx.cluster.config().max_restarts,
-            first_attempt: true,
-            attempt: None,
+            level,
+            rpc,
+            restarts: Restarts::new(context, MAX_RESTARTS),
+            stale_root: false,
+            repair_top: None,
+            cursor: Cursor::Fresh,
         }
     }
 
-    /// Start a fresh attempt: pick the root or a cached top-level shortcut.
-    /// With structural deletes enabled, a restart may mean a local shortcut
-    /// went stale (a freed node or a collapsed root): after the first failed
-    /// attempt, re-read the root from the superblock and skip the type-❷
-    /// cache.  In grow-only mode (the paper's behaviour) neither can happen,
-    /// so restarts keep their shortcuts and cost profile.
-    fn begin_attempt<B: FabricBackend>(&mut self, cx: &mut OpCx<'_, B>) -> TreeResult<Option<GlobalAddress>> {
-        let distrust_shortcuts = cx.cluster.options().structural_deletes_enabled();
-        let use_shortcuts = self.first_attempt || !distrust_shortcuts;
-        self.first_attempt = false;
-        let (root_addr, root_level) = if use_shortcuts {
-            cx.root()?
-        } else {
-            cx.root_remote()?
+    /// Whether `header` is what this locate looks for: a live node at the
+    /// level sought whose fences cover the key.
+    pub(crate) fn accepts(&self, header: &NodeHeader) -> bool {
+        at_level(header, self.level) && header.covers(self.key)
+    }
+
+    /// The one mismatch rule for a node the caller reached at `addr` — the
+    /// answer handed out, or a node its own walk reached by sibling
+    /// pointers — that [`Locate::accepts`] refused: scrub, then chase the
+    /// sibling or re-locate (see the module docs).
+    pub(crate) fn reject<B: FabricBackend>(
+        &mut self,
+        cx: &mut OpCx<'_, B>,
+        addr: GlobalAddress,
+        header: &NodeHeader,
+    ) {
+        let route = match self.cursor {
+            Cursor::Found(hop) if hop.addr == addr => hop.route,
+            _ => Route::Sibling,
         };
-        let cached_top = if use_shortcuts {
-            cx.cluster.cache(cx.cs_id).search_top(self.key)
-        } else {
-            None
+        let hop = Hop {
+            addr,
+            level: self.level,
+            route,
         };
-        // Only an answer deep enough for this traversal counts as a hit:
-        // an entry above `target_level` still forces the root-first walk.
-        let usable_top =
-            matches!(cached_top, Some((_, child_level)) if child_level >= self.target_level);
-        if use_shortcuts {
-            let stats = cx.cluster.cache(cx.cs_id).stats();
-            if usable_top {
-                stats.record_top_hit();
-            } else {
-                stats.record_top_miss();
+        self.turn(cx, hop, header);
+    }
+
+    /// Re-locate `key` from scratch with no node to blame (a lost
+    /// root-growth race, a range scan's resume point), draining the
+    /// coherence inbox first.
+    pub(crate) fn relocate<B: FabricBackend>(&mut self, cx: &mut OpCx<'_, B>, key: u64) {
+        cx.drain_coherence();
+        self.key = key;
+        self.cursor = Cursor::Fresh;
+    }
+
+    fn turn<B: FabricBackend>(&mut self, cx: &mut OpCx<'_, B>, hop: Hop, header: &NodeHeader) {
+        let sibling = header
+            .sibling
+            .filter(|_| at_level(header, hop.level) && self.key >= header.fence_high);
+        // A rejected answer always scrubs the route that led to it.  A node
+        // the descent reads above the level sought keeps its route when the
+        // B-link chase corrects it: a type-❷ image merely behind a split
+        // still routes within one hop, and scrubbing it would send every
+        // locate under it root-first until a walk repairs it.
+        if hop.level == self.level || sibling.is_none() {
+            let cache = cx.cluster.cache(cx.cs_id);
+            match hop.route {
+                Route::Cache { fence_low } => cache.invalidate(fence_low),
+                Route::TopCache => cache.invalidate_addr(hop.addr),
+                Route::Root => self.stale_root = true,
+                Route::Traversal | Route::Sibling => {}
             }
         }
-        let (addr, expect_level) = match cached_top {
-            Some((child, child_level)) if usable_top => (child, child_level),
-            _ => (root_addr, root_level),
-        };
-        if expect_level < self.target_level {
-            // The tree is shallower than the requested level; the caller
-            // handles root growth.
-            return Ok(Some(root_addr));
+        if header.free {
+            // Local self-heal: drop every cached route to the observed
+            // tombstone (the fabric-delivered `Invalidate` may still be in
+            // flight).
+            cx.cluster.cache(cx.cs_id).invalidate_addr(hop.addr);
+            if matches!(hop.route, Route::Cache { .. } | Route::TopCache) {
+                // A cached route led to a retired node before its
+                // invalidation was drained.
+                cx.cluster.coherence_counters().record_stale_hit();
+            }
         }
-        self.attempt = Some(TraverseAttempt {
-            root_level,
-            // An unusable type-❷ answer means churn scrubbed the always-cached
-            // top set (or the root moved): repair it lazily from the internal
-            // nodes this root-first traversal is about to read anyway.
-            repair_top: !usable_top,
-            addr,
-            addr_from_cache: usable_top,
-            expect_level,
-            read: None,
-        });
+        match sibling {
+            Some(addr) => {
+                self.cursor = Cursor::Chase(Hop {
+                    addr,
+                    level: hop.level,
+                    route: Route::Sibling,
+                });
+            }
+            None => self.relocate(cx, self.key),
+        }
+    }
+
+    /// Start a fresh attempt.
+    fn start<B: FabricBackend>(
+        &mut self,
+        cx: &mut OpCx<'_, B>,
+        meta: &mut OpMeta,
+    ) -> TreeResult<Option<Located>> {
+        if self.rpc != LeafRpc::Off && cx.cluster.options().offload.may_offload() {
+            // Apply in-flight invalidations before the cache consult and the
+            // placement decision below.
+            cx.drain_coherence();
+        }
+        if self.level == 0 {
+            if let Some(cached) = cx.cluster.cache(cx.cs_id).lookup_covering(self.key) {
+                meta.cache_hit = true;
+                let hop = Hop {
+                    addr: cached.child_for(self.key),
+                    level: 0,
+                    route: Route::Cache {
+                        fence_low: cached.fence_low,
+                    },
+                };
+                if self.rpc == LeafRpc::Search
+                    && cx.cluster.options().offload == OffloadPolicy::Always
+                {
+                    // `Always` trades even the warm single read for an RPC
+                    // (its loss region — the regime the adaptive policy
+                    // exists to avoid).
+                    self.rpc = LeafRpc::Off;
+                    cx.cluster.offload_counters(cx.cs_id).record_decision(true);
+                    let req = RpcRequest::LeafSearch {
+                        leaf_addr: hop.addr,
+                        key: self.key,
+                    };
+                    self.cursor = Cursor::Offload {
+                        sm: OffloadSM::new(req),
+                        fallback: Some(hop),
+                    };
+                } else {
+                    self.cursor = Cursor::Visit { hop, read: None };
+                }
+                return Ok(None);
+            }
+            if self.rpc != LeafRpc::Off {
+                if let Some(req) = offload_traverse_request(cx, self.key) {
+                    self.rpc = LeafRpc::Off;
+                    self.cursor = Cursor::Offload {
+                        sm: OffloadSM::new(req),
+                        fallback: None,
+                    };
+                    return Ok(None);
+                }
+            }
+        }
+        let (root_addr, root_level) = if std::mem::take(&mut self.stale_root) {
+            cx.root_remote()?
+        } else {
+            cx.root()?
+        };
+        if root_level < self.level {
+            return Ok(Some(Located::Shallow));
+        }
+        // Only an answer deep enough for this locate counts as a hit: an
+        // entry above `level` still forces the root-first walk.
+        let cache = cx.cluster.cache(cx.cs_id);
+        let top = cache
+            .search_top(self.key)
+            .filter(|&(_, child_level)| child_level >= self.level);
+        let hop = match top {
+            Some((addr, level)) => {
+                cache.stats().record_top_hit();
+                Hop {
+                    addr,
+                    level,
+                    route: Route::TopCache,
+                }
+            }
+            None => {
+                cache.stats().record_top_miss();
+                Hop {
+                    addr: root_addr,
+                    level: root_level,
+                    route: Route::Root,
+                }
+            }
+        };
+        // An unusable type-❷ answer means churn scrubbed the always-cached
+        // top set (or the root moved): repair it lazily from the internal
+        // nodes this root-first walk is about to read anyway.
+        self.repair_top = top.is_none().then_some(root_level);
+        self.cursor = Cursor::Visit { hop, read: None };
         Ok(None)
     }
 
-    /// Forget the current attempt so the next `step` starts a new one — with
-    /// the shortcut distrust a failed first attempt earned.  Callers that
-    /// retry after rejecting the result reuse the machine this way.
-    pub(crate) fn restart(&mut self) {
-        self.attempt = None;
-    }
-
-    /// Whether the address the traversal finished on came straight out of
-    /// the type-❷ cache — the shortcut bottomed out at `target_level`
-    /// without reading a node, so the caller must treat the address as
-    /// cache-routed (invalidate by address on a mismatch).
-    pub(crate) fn route_from_cache(&self) -> bool {
-        self.attempt.as_ref().is_some_and(|a| a.addr_from_cache)
+    /// Descend from the internal node `hop` just read and accepted.
+    fn descend<B: FabricBackend>(&mut self, cx: &mut OpCx<'_, B>, hop: Hop, node: &InternalNode) {
+        let cache = cx.cluster.cache(cx.cs_id);
+        if let Some(root_level) = self.repair_top {
+            if hop.level + 1 >= root_level.max(1) {
+                cache.refresh_top(Arc::new(cached_from_internal(hop.addr, node)), root_level);
+            }
+        }
+        if hop.level == 1 {
+            cache.insert_level1(cached_from_internal(hop.addr, node));
+        }
+        let child = Hop {
+            addr: node.child_for(self.key),
+            level: hop.level - 1,
+            route: Route::Traversal,
+        };
+        self.cursor = Cursor::Visit {
+            hop: child,
+            read: None,
+        };
     }
 
     pub(crate) fn step<B: FabricBackend>(
@@ -630,81 +836,87 @@ impl TraverseSM {
         cx: &mut OpCx<'_, B>,
         meta: &mut OpMeta,
         mut completion: Option<Completion>,
-    ) -> TreeResult<Step<GlobalAddress>> {
+    ) -> TreeResult<Step<Located>> {
         loop {
-            if self.attempt.is_none() {
-                if self.attempts_left == 0 {
-                    return Err(TreeError::RetriesExhausted {
-                        context: "tree traversal",
-                        attempts: cx.cluster.config().max_restarts,
-                    });
+            match &mut self.cursor {
+                Cursor::Fresh => {
+                    self.restarts.attempt(cx.ctx, meta)?;
+                    if let Some(located) = self.start(cx, meta)? {
+                        return Ok(Step::Done(located));
+                    }
                 }
-                let spent = cx.cluster.config().max_restarts - self.attempts_left;
-                if spent > 0 {
-                    cx.ctx.contention_backoff(spent);
+                Cursor::Chase(hop) => {
+                    let hop = *hop;
+                    self.restarts.attempt(cx.ctx, meta)?;
+                    self.cursor = Cursor::Visit { hop, read: None };
                 }
-                self.attempts_left -= 1;
-                if let Some(shallow) = self.begin_attempt(cx)? {
-                    return Ok(Step::Done(shallow));
-                }
-            }
-            let attempt = self.attempt.as_mut().expect("attempt just ensured");
-            if attempt.expect_level == self.target_level {
-                return Ok(Step::Done(attempt.addr));
-            }
-            let addr = attempt.addr;
-            let read = attempt
-                .read
-                .get_or_insert_with(|| ReadNodeSM::new(cx, addr));
-            match read.step(cx, meta, completion.take())? {
-                Step::Pending(park) => return Ok(Step::Pending(park)),
-                Step::Done(buf) => {
-                    attempt.read = None;
+                Cursor::Visit { hop, read } => {
+                    let hop = *hop;
+                    if hop.level == self.level {
+                        self.cursor = Cursor::Found(hop);
+                        return Ok(Step::Done(Located::Node {
+                            addr: hop.addr,
+                            reply: None,
+                        }));
+                    }
+                    let read = read.get_or_insert_with(|| ReadNodeSM::new(hop.addr));
+                    let buf = match read.step(cx, meta, completion.take())? {
+                        Step::Pending(park) => return Ok(Step::Pending(park)),
+                        Step::Done(buf) => buf,
+                    };
                     let node = cx.cluster.layout().decode_internal(&buf);
-                    if node.header.free || node.header.is_leaf {
-                        if node.header.free {
-                            // Local self-heal: drop every cached route to
-                            // the observed tombstone (the fabric-delivered
-                            // `Invalidate` may still be in flight).
-                            cx.cluster.cache(cx.cs_id).invalidate_addr(addr);
-                            if attempt.addr_from_cache {
-                                // A cached type-❷ route led to a retired
-                                // node before its invalidation was drained.
-                                cx.cluster.coherence_counters().record_stale_hit();
-                            }
+                    if at_level(&node.header, hop.level) && node.header.covers(self.key) {
+                        self.descend(cx, hop, &node);
+                    } else {
+                        self.turn(cx, hop, &node.header);
+                    }
+                }
+                Cursor::Offload { sm, fallback } => {
+                    let fallback = *fallback;
+                    let outcome = match sm.step(cx, completion.take())? {
+                        Step::Pending(park) => return Ok(Step::Pending(park)),
+                        Step::Done(outcome) => outcome,
+                    };
+                    let counters = cx.cluster.offload_counters(cx.cs_id);
+                    match outcome {
+                        OffloadOutcome::Leaf(reply) if reply.chase_sibling => {
+                            // The RPC still collapsed the descent; chase the
+                            // B-link locally like any other reader.
+                            counters.record_win();
+                            self.cursor = match reply.leaf.sibling {
+                                Some(addr) => Cursor::Chase(Hop {
+                                    addr,
+                                    level: 0,
+                                    route: Route::Sibling,
+                                }),
+                                None => Cursor::Fresh,
+                            };
                         }
-                        self.attempt = None;
-                        continue;
-                    }
-                    if !node.header.covers(self.key) {
-                        if self.key >= node.header.fence_high {
-                            if let Some(sib) = node.header.sibling {
-                                attempt.addr = sib;
-                                attempt.addr_from_cache = false;
-                                continue;
-                            }
+                        OffloadOutcome::Leaf(reply) => {
+                            self.cursor = Cursor::Found(Hop {
+                                addr: reply.leaf.addr,
+                                level: 0,
+                                route: Route::Traversal,
+                            });
+                            return Ok(Step::Done(Located::Node {
+                                addr: reply.leaf.addr,
+                                reply: Some(reply),
+                            }));
                         }
-                        self.attempt = None;
-                        continue;
+                        _ => {
+                            counters.record_loss();
+                            self.cursor = match fallback {
+                                Some(hop) => Cursor::Visit { hop, read: None },
+                                None => Cursor::Fresh,
+                            };
+                        }
                     }
-                    attempt.expect_level = node.header.level;
-                    if attempt.repair_top && node.header.level + 1 >= attempt.root_level.max(1) {
-                        cx.cluster.cache(cx.cs_id).refresh_top(
-                            Arc::new(cached_from_internal(attempt.addr, &node)),
-                            attempt.root_level,
-                        );
-                    }
-                    if attempt.expect_level == self.target_level {
-                        return Ok(Step::Done(attempt.addr));
-                    }
-                    if node.header.level == 1 {
-                        cx.cluster
-                            .cache(cx.cs_id)
-                            .insert_level1(cached_from_internal(attempt.addr, &node));
-                    }
-                    attempt.addr = node.child_for(self.key);
-                    attempt.addr_from_cache = false;
-                    attempt.expect_level = node.header.level - 1;
+                }
+                Cursor::Found(hop) => {
+                    return Ok(Step::Done(Located::Node {
+                        addr: hop.addr,
+                        reply: None,
+                    }))
                 }
             }
         }
@@ -716,54 +928,25 @@ impl TraverseSM {
 // ----------------------------------------------------------------------
 
 enum LookupPhase {
-    /// Decide where to read next (consume `pending`, consult the cache, or
-    /// start a traversal).
-    Restart,
-    Locate(TraverseSM),
-    /// A server-side traversal RPC is in flight.  `fallback` holds the
-    /// cache-served leaf route the RPC replaced (`Always` on a warm cache);
-    /// on a decline the lookup resumes there instead of re-locating.
-    Offload {
-        sm: OffloadSM,
-        fallback: Option<(GlobalAddress, LeafSource)>,
-    },
-    Leaf {
-        addr: GlobalAddress,
-        source: LeafSource,
-        reads_left: u32,
-        read: ReadNodeSM,
-    },
+    Locate,
+    /// The located leaf's read is in flight.
+    Leaf(ReadNodeSM),
 }
 
-/// Point lookup as a resumable machine: descend → leaf read posted →
-/// validate (node- and entry-level) / chase a sibling / retry → done.
+/// Point lookup as a resumable machine: locate the leaf → leaf read posted
+/// → validate (node- and entry-level) / reject to the locate → done.
 pub(crate) struct LookupSM {
     key: u64,
-    restarts_left: u32,
-    pending: Option<(GlobalAddress, LeafSource)>,
-    /// One-shot: a lookup offloads at most once, so a declined or stale RPC
-    /// can never loop back into another RPC.
-    offload_done: bool,
+    locate: Locate,
     phase: LookupPhase,
 }
 
 impl LookupSM {
-    pub(crate) fn new<B: FabricBackend>(cx: &OpCx<'_, B>, key: u64) -> Self {
+    pub(crate) fn new(key: u64) -> Self {
         LookupSM {
             key,
-            restarts_left: cx.cluster.config().max_restarts,
-            pending: None,
-            offload_done: false,
-            phase: LookupPhase::Restart,
-        }
-    }
-
-    fn leaf_phase<B: FabricBackend>(&self, cx: &OpCx<'_, B>, addr: GlobalAddress, source: LeafSource) -> LookupPhase {
-        LookupPhase::Leaf {
-            addr,
-            source,
-            reads_left: cx.cluster.config().max_read_retries,
-            read: ReadNodeSM::new(cx, addr),
+            locate: Locate::new(key, 0, LeafRpc::Search, "lookup"),
+            phase: LookupPhase::Locate,
         }
     }
 
@@ -775,161 +958,52 @@ impl LookupSM {
     ) -> TreeResult<Step<Option<u64>>> {
         loop {
             match &mut self.phase {
-                LookupPhase::Restart => {
-                    if self.restarts_left == 0 {
-                        return Err(TreeError::RetriesExhausted {
-                            context: "lookup",
-                            attempts: cx.cluster.config().max_restarts,
-                        });
+                LookupPhase::Locate => match self.locate.step(cx, meta, completion.take())? {
+                    Step::Pending(park) => return Ok(Step::Pending(park)),
+                    Step::Done(Located::Node { addr, reply: None }) => {
+                        self.phase = LookupPhase::Leaf(ReadNodeSM::new(addr));
                     }
-                    let spent = cx.cluster.config().max_restarts - self.restarts_left;
-                    if spent > 0 {
-                        cx.ctx.contention_backoff(spent);
+                    Step::Done(Located::Node {
+                        addr,
+                        reply: Some(reply),
+                    }) => {
+                        let counters = cx.cluster.offload_counters(cx.cs_id);
+                        if !reply.entry_conflict {
+                            counters.record_win();
+                            return Ok(Step::Done(reply.found));
+                        }
+                        // Entry-granular write mid-flight on the server's
+                        // image: re-read the leaf locally.
+                        counters.record_loss();
+                        meta.read_retries += 1;
+                        self.phase = LookupPhase::Leaf(ReadNodeSM::new(addr));
                     }
-                    self.restarts_left -= 1;
-                    if let Some((addr, source)) = self.pending.take() {
-                        self.phase = self.leaf_phase(cx, addr, source);
+                    Step::Done(Located::Shallow) => unreachable!("the leaf level always exists"),
+                },
+                LookupPhase::Leaf(read) => {
+                    let buf = match read.step(cx, meta, completion.take())? {
+                        Step::Pending(park) => return Ok(Step::Pending(park)),
+                        Step::Done(buf) => buf,
+                    };
+                    let leaf = cx.cluster.layout().decode_leaf(&buf);
+                    if !self.locate.accepts(&leaf.header) {
+                        self.locate.reject(cx, read.addr, &leaf.header);
+                        self.phase = LookupPhase::Locate;
                         continue;
                     }
-                    if !self.offload_done && cx.cluster.options().offload.may_offload() {
-                        // Apply in-flight invalidations before the cache
-                        // consult and the placement decision below.
-                        cx.drain_coherence();
-                    }
-                    match locate_start(cx, meta, self.key) {
-                        LocateStart::Cached(addr, source) => {
-                            if !self.offload_done
-                                && cx.cluster.options().offload == OffloadPolicy::Always
-                            {
-                                // `Always` trades even the warm single read
-                                // for an RPC (its loss region — the regime
-                                // the adaptive policy exists to avoid).
-                                self.offload_done = true;
-                                cx.cluster.offload_counters(cx.cs_id).record_decision(true);
-                                self.phase = LookupPhase::Offload {
-                                    sm: OffloadSM::new(RpcRequest::LeafSearch {
-                                        leaf_addr: addr,
-                                        key: self.key,
-                                    }),
-                                    fallback: Some((addr, source)),
-                                };
-                                continue;
-                            }
-                            self.phase = self.leaf_phase(cx, addr, source);
+                    // Entry-level validation (two-level versions only).
+                    let found = leaf
+                        .entries
+                        .iter()
+                        .find(|e| e.present && e.key == self.key)
+                        .copied();
+                    match (cx.leaf_format(), found) {
+                        (LeafFormat::UnsortedTwoLevel, Some(e)) if !e.versions_match() => {
+                            return Ok(Step::Pending(read.retry(cx, meta)?));
                         }
-                        LocateStart::Traverse(sm) => {
-                            if !self.offload_done {
-                                if let Some(req) = offload_traverse_request(cx, self.key) {
-                                    self.offload_done = true;
-                                    self.phase = LookupPhase::Offload {
-                                        sm: OffloadSM::new(req),
-                                        fallback: None,
-                                    };
-                                    continue;
-                                }
-                            }
-                            self.phase = LookupPhase::Locate(sm);
-                        }
+                        (_, found) => return Ok(Step::Done(found.map(|e| e.value))),
                     }
                 }
-                LookupPhase::Offload { sm, fallback } => {
-                    let fallback = *fallback;
-                    match sm.step(cx, completion.take())? {
-                        Step::Pending(park) => return Ok(Step::Pending(park)),
-                        Step::Done(OffloadOutcome::Leaf(reply)) => {
-                            let counters = cx.cluster.offload_counters(cx.cs_id);
-                            if reply.chase_sibling {
-                                // The RPC still collapsed the descent; chase
-                                // the B-link locally like any other reader.
-                                counters.record_win();
-                                self.pending =
-                                    reply.leaf.sibling.map(|s| (s, LeafSource::Sibling));
-                                self.phase = LookupPhase::Restart;
-                            } else if reply.entry_conflict {
-                                // Entry-granular write mid-flight on the
-                                // server's image: re-read the leaf locally.
-                                counters.record_loss();
-                                meta.read_retries += 1;
-                                self.phase =
-                                    self.leaf_phase(cx, reply.leaf.addr, LeafSource::Traversal);
-                            } else {
-                                counters.record_win();
-                                return Ok(Step::Done(reply.found));
-                            }
-                        }
-                        Step::Done(_) => {
-                            cx.cluster.offload_counters(cx.cs_id).record_loss();
-                            match fallback {
-                                Some((addr, source)) => {
-                                    self.phase = self.leaf_phase(cx, addr, source);
-                                }
-                                None => self.phase = LookupPhase::Restart,
-                            }
-                        }
-                    }
-                }
-                LookupPhase::Locate(sm) => match sm.step(cx, meta, completion.take())? {
-                    Step::Pending(park) => return Ok(Step::Pending(park)),
-                    Step::Done(addr) => {
-                        let source = if sm.route_from_cache() {
-                            LeafSource::TopCache
-                        } else {
-                            LeafSource::Traversal
-                        };
-                        self.phase = self.leaf_phase(cx, addr, source);
-                    }
-                },
-                LookupPhase::Leaf {
-                    addr,
-                    source,
-                    reads_left,
-                    read,
-                } => match read.step(cx, meta, completion.take())? {
-                    Step::Pending(park) => return Ok(Step::Pending(park)),
-                    Step::Done(buf) => {
-                        let leaf = cx.cluster.layout().decode_leaf(&buf);
-                        if leaf.header.free || !leaf.header.is_leaf || !leaf.header.covers(self.key)
-                        {
-                            let (addr, source) = (*addr, *source);
-                            if leaf.header.free
-                                && matches!(
-                                    source,
-                                    LeafSource::Cache { .. } | LeafSource::TopCache
-                                )
-                            {
-                                // The index cache routed to a retired leaf:
-                                // its invalidation is still in flight.
-                                cx.cluster.coherence_counters().record_stale_hit();
-                            }
-                            self.pending =
-                                next_after_mismatch(cx, self.key, addr, &leaf.header, source)
-                                    .map(|a| (a, LeafSource::Sibling));
-                            self.phase = LookupPhase::Restart;
-                            continue;
-                        }
-                        // Entry-level validation (two-level versions only).
-                        let found = leaf
-                            .entries
-                            .iter()
-                            .find(|e| e.present && e.key == self.key)
-                            .copied();
-                        match (cx.leaf_format(), found) {
-                            (LeafFormat::UnsortedTwoLevel, Some(e)) if !e.versions_match() => {
-                                meta.read_retries += 1;
-                                cx.ctx.note_retries(1);
-                                *reads_left -= 1;
-                                if *reads_left == 0 {
-                                    // The entry-validation budget is spent:
-                                    // restart the whole location attempt.
-                                    self.phase = LookupPhase::Restart;
-                                    continue;
-                                }
-                                *read = ReadNodeSM::new(cx, *addr);
-                            }
-                            (_, found) => return Ok(Step::Done(found.map(|e| e.value))),
-                        }
-                    }
-                },
             }
         }
     }
@@ -955,12 +1029,9 @@ enum RangePhase {
     },
     /// Decide where phase 2 (the sibling-chain walk) starts.
     SeekStart,
-    /// Traversal toward the next leaf to scan; on completion the address is
-    /// removed from `visited` when `forget_visit` is set (tombstone resume).
-    Locate {
-        sm: TraverseSM,
-        forget_visit: bool,
-    },
+    /// Locating the next leaf to scan; on completion the address is removed
+    /// from `visited` when `forget_visit` is set (tombstone resume).
+    Locate { forget_visit: bool },
     /// Loop-condition check before reading the leaf at `addr`.
     ChainNext { addr: GlobalAddress },
     /// A chain leaf read is in flight.
@@ -989,9 +1060,11 @@ pub(crate) struct RangeSM {
     /// entries moved to its left neighbour, so the scan must re-locate its
     /// resume point instead of trusting the batch / sibling chain.
     tombstoned: bool,
-    hops: u32,
-    /// One-shot: a scan offloads at most once (see [`LookupSM`]).
+    /// One-shot: a scan offloads at most once.
     offload_done: bool,
+    /// The seek of the sibling-chain walk (its own offload is the range RPC
+    /// above, so this locate never posts one).
+    locate: Locate,
     phase: RangePhase,
 }
 
@@ -1005,8 +1078,8 @@ impl RangeSM {
             last_sibling: None,
             last_seen: false,
             tombstoned: false,
-            hops: 0,
             offload_done: false,
+            locate: Locate::new(start_key, 0, LeafRpc::Off, "range scan"),
             phase: RangePhase::Start,
         }
     }
@@ -1037,13 +1110,10 @@ impl RangeSM {
         if leaf.header.free || !leaf.header.is_leaf {
             // A concurrent merge freed this cached child; its entries now
             // live in an earlier leaf whose pre-merge image we may already
-            // have consumed.  Drop every cached route to the tombstone (the
-            // fabric-delivered `Invalidate` may still be in flight — without
-            // the scrub the re-locate below could loop back here), then stop
-            // the batch and re-locate.
-            if leaf.header.free {
-                cx.cluster.cache(cx.cs_id).invalidate_addr(addr);
-            }
+            // have consumed.  Scrub the routes to it (without the scrub the
+            // re-locate below could loop back here), then stop the batch and
+            // re-locate.
+            self.locate.reject(cx, addr, &leaf.header);
             self.tombstoned = true;
             return false;
         }
@@ -1055,16 +1125,14 @@ impl RangeSM {
     }
 
     /// Begin locating the leaf covering `key`; transitions the phase.
-    fn start_locate<B: FabricBackend>(&mut self, cx: &mut OpCx<'_, B>, meta: &mut OpMeta, key: u64, forget_visit: bool) {
-        match locate_start(cx, meta, key) {
-            LocateStart::Cached(addr, _) => {
-                if forget_visit {
-                    self.visited.remove(&addr.pack());
-                }
-                self.phase = RangePhase::ChainNext { addr };
-            }
-            LocateStart::Traverse(sm) => self.phase = RangePhase::Locate { sm, forget_visit },
-        }
+    fn start_locate<B: FabricBackend>(
+        &mut self,
+        cx: &mut OpCx<'_, B>,
+        key: u64,
+        forget_visit: bool,
+    ) {
+        self.locate.relocate(cx, key);
+        self.phase = RangePhase::Locate { forget_visit };
     }
 
     pub(crate) fn step<B: FabricBackend>(
@@ -1200,7 +1268,7 @@ impl RangeSM {
                                 addrs,
                                 bufs,
                                 idx,
-                                repair: Some(ReadNodeSM::new(cx, addr)),
+                                repair: Some(ReadNodeSM::new(addr)),
                             };
                             break;
                         }
@@ -1219,7 +1287,7 @@ impl RangeSM {
                     if self.tombstoned && self.results.len() < self.count {
                         self.tombstoned = false;
                         let key = self.resume_key();
-                        self.start_locate(cx, meta, key, true);
+                        self.start_locate(cx, key, true);
                     } else if self.tombstoned {
                         self.phase = RangePhase::Finish;
                     } else if self.last_seen {
@@ -1233,36 +1301,36 @@ impl RangeSM {
                         }
                     } else {
                         let key = self.start_key;
-                        self.start_locate(cx, meta, key, false);
+                        self.start_locate(cx, key, false);
                     }
                 }
-                RangePhase::Locate { sm, forget_visit } => {
+                RangePhase::Locate { forget_visit } => {
                     let forget = *forget_visit;
-                    match sm.step(cx, meta, completion.take())? {
+                    match self.locate.step(cx, meta, completion.take())? {
                         Step::Pending(park) => return Ok(Step::Pending(park)),
-                        Step::Done(addr) => {
+                        Step::Done(Located::Node { addr, .. }) => {
                             if forget {
                                 self.visited.remove(&addr.pack());
                             }
                             self.phase = RangePhase::ChainNext { addr };
                         }
+                        Step::Done(Located::Shallow) => {
+                            unreachable!("the leaf level always exists")
+                        }
                     }
                 }
                 RangePhase::ChainNext { addr } => {
                     let addr = *addr;
-                    if self.results.len() >= self.count
-                        || self.hops > cx.cluster.config().max_restarts
-                    {
+                    if self.results.len() >= self.count {
                         self.phase = RangePhase::Finish;
                         continue;
                     }
-                    self.hops += 1;
                     if !self.visited.insert(addr.pack()) {
                         self.phase = RangePhase::Finish;
                         continue;
                     }
                     self.phase = RangePhase::Chain {
-                        read: ReadNodeSM::new(cx, addr),
+                        read: ReadNodeSM::new(addr),
                     };
                 }
                 RangePhase::Chain { read } => match read.step(cx, meta, completion.take())? {
@@ -1272,17 +1340,15 @@ impl RangeSM {
                         let leaf = layout.decode_leaf(&buf);
                         if leaf.header.free || !leaf.header.is_leaf {
                             // Tombstoned by a concurrent merge: its entries
-                            // moved into a left neighbour.  Scrub any cached
-                            // route to the tombstone (its fabric `Invalidate`
-                            // may still be in flight), then re-locate the
-                            // resume point and re-read that leaf even if a
-                            // pre-merge image of it was already consumed
-                            // (bounded by the `hops` budget).
-                            if leaf.header.free {
-                                cx.cluster.cache(cx.cs_id).invalidate_addr(addr);
-                            }
+                            // moved into a left neighbour.  Scrub the routes
+                            // to it (its fabric `Invalidate` may still be in
+                            // flight), then re-locate the resume point and
+                            // re-read that leaf even if a pre-merge image of
+                            // it was already consumed (bounded by the
+                            // locate's restart budget).
+                            self.locate.reject(cx, addr, &leaf.header);
                             let key = self.resume_key();
-                            self.start_locate(cx, meta, key, true);
+                            self.start_locate(cx, key, true);
                             continue;
                         }
                         self.collect_leaf(&leaf);
@@ -1335,42 +1401,33 @@ pub(crate) enum WriteCommit {
     /// present (meaningful for deletes); `tail` is the structural follow-up,
     /// if any.
     Committed { found: bool, tail: Option<Tail> },
-    /// The locked leaf did not cover the key; it was released untouched and
-    /// the operation must retry at `next` (re-locate when `None`).
-    Retry {
-        next: Option<(GlobalAddress, LeafSource)>,
-    },
+    /// The locked leaf did not cover the key; it was released untouched,
+    /// handed back to the locate, and the operation locates again.
+    Retry,
 }
 
 /// The phase ladder of the write machine.  Every phase that waits parks:
 /// on a verb, on the leaf's local lock, or before the structural tail.
 enum WritePhase {
-    /// Decide where to commit next (consume `pending`, consult the cache, or
-    /// start a traversal).
-    Restart,
-    Locate(TraverseSM),
-    /// A server-side traversal RPC is locating the commit leaf.  Only the
-    /// lock-free location phase offloads — the lock critical section always
-    /// runs client-side under the usual HOCL rules.
-    Offload(OffloadSM),
+    /// Locating the commit leaf.  Only this lock-free phase may offload (a
+    /// traverse RPC) — the lock critical section always runs client-side
+    /// under the usual HOCL rules.
+    Locate,
     /// Waiting for the leaf's local lock (held by another op, or the tail
     /// gate is closed).
     LockWait {
         addr: GlobalAddress,
-        source: LeafSource,
         ticket: LocalTicket,
     },
     /// The remote acquisition is in flight; the local lock is held.
     Acquire {
         addr: GlobalAddress,
-        source: LeafSource,
         ticket: LocalTicket,
         cas: PendingVerb,
     },
     /// The leaf read under the lock is in flight.
     LockedRead {
         addr: GlobalAddress,
-        source: LeafSource,
         read: PendingVerb,
     },
     /// The final write-back + release verb is in flight (its memory effect
@@ -1399,24 +1456,22 @@ pub(crate) struct WriteSM {
     /// Whether the key was present, recorded at commit time (the machine
     /// may still park on the release or the tail afterwards).
     found: bool,
-    restarts_left: u32,
-    pending: Option<(GlobalAddress, LeafSource)>,
-    /// One-shot: a write offloads its location at most once (see
-    /// [`LookupSM`]).
-    offload_done: bool,
+    locate: Locate,
     phase: WritePhase,
 }
 
 impl WriteSM {
-    pub(crate) fn new<B: FabricBackend>(cx: &OpCx<'_, B>, key: u64, kind: WriteKind) -> Self {
+    pub(crate) fn new(key: u64, kind: WriteKind) -> Self {
+        let context = match kind {
+            WriteKind::Insert { .. } => "insert",
+            WriteKind::Delete => "delete",
+        };
         WriteSM {
             key,
             kind,
             found: false,
-            restarts_left: cx.cluster.config().max_restarts,
-            pending: None,
-            offload_done: false,
-            phase: WritePhase::Restart,
+            locate: Locate::new(key, 0, LeafRpc::Traverse, context),
+            phase: WritePhase::Locate,
         }
     }
 
@@ -1428,10 +1483,9 @@ impl WriteSM {
         }
     }
 
-    fn lock_wait(addr: GlobalAddress, source: LeafSource) -> WritePhase {
+    fn lock_wait(addr: GlobalAddress) -> WritePhase {
         WritePhase::LockWait {
             addr,
-            source,
             ticket: LocalTicket::default(),
         }
     }
@@ -1488,9 +1542,8 @@ impl WriteSM {
                 self.phase = WritePhase::TailWait(tail);
                 Some(Step::Pending(Park::Tail))
             }
-            WriteCommit::Retry { next } => {
-                self.pending = next;
-                self.phase = WritePhase::Restart;
+            WriteCommit::Retry => {
+                self.phase = WritePhase::Locate;
                 None
             }
         })
@@ -1504,88 +1557,23 @@ impl WriteSM {
     ) -> TreeResult<Step<bool>> {
         loop {
             match &mut self.phase {
-                WritePhase::Restart => {
-                    if self.restarts_left == 0 {
-                        return Err(TreeError::RetriesExhausted {
-                            context: match self.kind {
-                                WriteKind::Insert { .. } => "insert",
-                                WriteKind::Delete => "delete",
-                            },
-                            attempts: client.cluster.config().max_restarts,
-                        });
-                    }
-                    let spent = client.cluster.config().max_restarts - self.restarts_left;
-                    if spent > 0 {
-                        client.ctx.contention_backoff(spent);
-                    }
-                    self.restarts_left -= 1;
-                    if let Some((addr, source)) = self.pending.take() {
-                        self.phase = Self::lock_wait(addr, source);
-                        continue;
-                    }
+                WritePhase::Locate => {
                     let mut cx = client.op_cx();
-                    if !self.offload_done && cx.cluster.options().offload.may_offload() {
-                        // Apply in-flight invalidations before the cache
-                        // consult and the placement decision below.
-                        cx.drain_coherence();
-                    }
-                    match locate_start(&mut cx, meta, self.key) {
-                        LocateStart::Cached(addr, source) => {
-                            self.phase = Self::lock_wait(addr, source);
-                        }
-                        LocateStart::Traverse(sm) => {
-                            if !self.offload_done {
-                                if let Some(req) = offload_traverse_request(&mut cx, self.key) {
-                                    self.offload_done = true;
-                                    self.phase = WritePhase::Offload(OffloadSM::new(req));
-                                    continue;
-                                }
-                            }
-                            self.phase = WritePhase::Locate(sm);
-                        }
-                    }
-                }
-                WritePhase::Locate(sm) => {
-                    let mut cx = client.op_cx();
-                    match sm.step(&mut cx, meta, completion.take())? {
+                    match self.locate.step(&mut cx, meta, completion.take())? {
                         Step::Pending(park) => return Ok(Step::Pending(park)),
-                        Step::Done(addr) => {
-                            let source = if sm.route_from_cache() {
-                                LeafSource::TopCache
-                            } else {
-                                LeafSource::Traversal
-                            };
-                            self.phase = Self::lock_wait(addr, source);
-                        }
-                    }
-                }
-                WritePhase::Offload(sm) => {
-                    let mut cx = client.op_cx();
-                    match sm.step(&mut cx, completion.take())? {
-                        Step::Pending(park) => return Ok(Step::Pending(park)),
-                        Step::Done(OffloadOutcome::Leaf(reply)) => {
-                            cx.cluster.offload_counters(cx.cs_id).record_win();
-                            if reply.chase_sibling {
-                                self.pending =
-                                    reply.leaf.sibling.map(|s| (s, LeafSource::Sibling));
-                                self.phase = WritePhase::Restart;
-                            } else {
-                                self.phase =
-                                    Self::lock_wait(reply.leaf.addr, LeafSource::Traversal);
+                        Step::Done(Located::Node { addr, reply }) => {
+                            if reply.is_some() {
+                                cx.cluster.offload_counters(cx.cs_id).record_win();
                             }
+                            self.phase = Self::lock_wait(addr);
                         }
-                        Step::Done(_) => {
-                            cx.cluster.offload_counters(cx.cs_id).record_loss();
-                            self.phase = WritePhase::Restart;
+                        Step::Done(Located::Shallow) => {
+                            unreachable!("the leaf level always exists")
                         }
                     }
                 }
-                WritePhase::LockWait {
-                    addr,
-                    source,
-                    ticket,
-                } => {
-                    let (addr, source) = (*addr, *source);
+                WritePhase::LockWait { addr, ticket } => {
+                    let addr = *addr;
                     if client.lock_gate && !ticket.enqueued() {
                         // A structural tail waits for this context's locks
                         // to drain: start no new acquisition meanwhile.
@@ -1601,33 +1589,26 @@ impl WriteSM {
                         LocalTry::Acquired { handed_over: true } => {
                             meta.handed_over = true;
                             let read = client.read_locked_leaf(addr)?;
-                            self.phase = WritePhase::LockedRead { addr, source, read };
+                            self.phase = WritePhase::LockedRead { addr, read };
                             return Ok(Step::Pending(Park::Verb(read)));
                         }
                         LocalTry::Acquired { handed_over: false } => {
                             let ticket = std::mem::take(ticket);
                             let mgr = Arc::clone(client.cluster.lock_manager());
                             let cas = mgr.post_lock_remote(&mut client.ctx, addr)?;
-                            self.phase = WritePhase::Acquire {
-                                addr,
-                                source,
-                                ticket,
-                                cas,
-                            };
+                            self.phase = WritePhase::Acquire { addr, ticket, cas };
                             return Ok(Step::Pending(Park::Verb(cas)));
                         }
                     }
                 }
-                WritePhase::Acquire {
-                    addr, source, cas, ..
-                } => {
+                WritePhase::Acquire { addr, cas, .. } => {
                     let c = completion
                         .take()
                         .expect("Acquire resumes on the CAS completion");
-                    let (addr, source) = (*addr, *source);
+                    let addr = *addr;
                     if cas_won(&c) {
                         let read = client.read_locked_leaf(addr)?;
-                        self.phase = WritePhase::LockedRead { addr, source, read };
+                        self.phase = WritePhase::LockedRead { addr, read };
                         return Ok(Step::Pending(Park::Verb(read)));
                     }
                     // Lost the remote race (every failed attempt is a
@@ -1638,18 +1619,27 @@ impl WriteSM {
                     *cas = mgr.post_lock_remote(&mut client.ctx, addr)?;
                     return Ok(Step::Pending(Park::Verb(*cas)));
                 }
-                WritePhase::LockedRead { addr, source, .. } => {
+                WritePhase::LockedRead { addr, .. } => {
                     let c = completion
                         .take()
                         .expect("LockedRead resumes on the read completion");
-                    let (addr, source) = (*addr, *source);
+                    let addr = *addr;
                     let buf = c.result.into_read();
                     client.ctx.charge_scan(buf.len());
-                    let (commit, release) = match self.kind {
-                        WriteKind::Insert { value } => {
-                            client.insert_commit(addr, source, self.key, value, &buf)?
+                    let header = client.cluster.layout().decode_header(&buf);
+                    let (commit, release) = if !self.locate.accepts(&header) {
+                        // Not the leaf for the key: release it untouched and
+                        // hand it back to the locate.
+                        let release = client.release_lock_deferred(addr, Vec::new())?;
+                        self.locate.reject(&mut client.op_cx(), addr, &header);
+                        (WriteCommit::Retry, release)
+                    } else {
+                        match self.kind {
+                            WriteKind::Insert { value } => {
+                                client.insert_commit(addr, self.key, value, &buf)?
+                            }
+                            WriteKind::Delete => client.delete_commit(addr, self.key, &buf)?,
                         }
-                        WriteKind::Delete => client.delete_commit(addr, source, self.key, &buf)?,
                     };
                     match release {
                         Some(token) => {
@@ -1672,7 +1662,7 @@ impl WriteSM {
                         "AwaitRelease resumes on the release completion"
                     );
                     let WritePhase::AwaitRelease { commit } =
-                        std::mem::replace(&mut self.phase, WritePhase::Restart)
+                        std::mem::replace(&mut self.phase, WritePhase::Locate)
                     else {
                         unreachable!("phase checked above");
                     };
@@ -1695,7 +1685,7 @@ impl WriteSM {
                 }
                 WritePhase::TailWait(_) => {
                     let WritePhase::TailWait(tail) =
-                        std::mem::replace(&mut self.phase, WritePhase::Restart)
+                        std::mem::replace(&mut self.phase, WritePhase::Locate)
                     else {
                         unreachable!("phase checked above");
                     };
@@ -1714,7 +1704,7 @@ impl WriteSM {
     ) -> TreeResult<()> {
         let mgr = Arc::clone(client.cluster.lock_manager());
         let cs = client.cs_id;
-        let held = match std::mem::replace(&mut self.phase, WritePhase::Restart) {
+        let held = match std::mem::replace(&mut self.phase, WritePhase::Locate) {
             WritePhase::LockWait {
                 addr, mut ticket, ..
             } => mgr.cancel_local(cs, addr, &mut ticket).then_some(addr),

@@ -119,6 +119,8 @@ pub struct PipelinedResult {
     pub bytes_written: u64,
     /// Consistency-check retries this operation performed.
     pub read_retries: u64,
+    /// Retries its restart budgets granted (see `OpStats::restarts`).
+    pub restarts: u64,
     /// Whether a write operation obtained its lock via local handover.
     pub handed_over: bool,
     /// Whether the operation's leaf address came from the index cache.
@@ -230,18 +232,15 @@ impl<F: Iterator<Item = PipelineOp>> Run<F> {
                 // depth 1 stays byte-for-byte identical to blocking.
                 client.drain_coherence();
                 let pin = client.reader.pin();
-                let cx = client.op_cx();
                 let sm = match op {
-                    PipelineOp::Lookup { key } => OpSM::Lookup(LookupSM::new(&cx, key)),
+                    PipelineOp::Lookup { key } => OpSM::Lookup(LookupSM::new(key)),
                     PipelineOp::Range { start_key, count } => {
                         OpSM::Range(RangeSM::new(start_key, count))
                     }
                     PipelineOp::Insert { key, value } => {
-                        OpSM::Write(WriteSM::new(&cx, key, WriteKind::Insert { value }))
+                        OpSM::Write(WriteSM::new(key, WriteKind::Insert { value }))
                     }
-                    PipelineOp::Delete { key } => {
-                        OpSM::Write(WriteSM::new(&cx, key, WriteKind::Delete))
-                    }
+                    PipelineOp::Delete { key } => OpSM::Write(WriteSM::new(key, WriteKind::Delete)),
                 };
                 self.slots[idx] = Some(Slot {
                     id,
@@ -275,6 +274,7 @@ impl<F: Iterator<Item = PipelineOp>> Run<F> {
                         round_trips: op_stats.round_trips,
                         bytes_written: op_stats.bytes_written,
                         read_retries: finished.meta.read_retries,
+                        restarts: finished.meta.restarts,
                         handed_over: finished.meta.handed_over,
                         cache_hit: finished.meta.cache_hit,
                     });

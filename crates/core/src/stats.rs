@@ -30,6 +30,10 @@ pub struct OpStats {
     pub lock_retries: u64,
     /// Re-reads forced by version / checksum mismatches.
     pub read_retries: u64,
+    /// Retries granted by the operation's restart budgets: re-locations,
+    /// B-link sibling chases and torn-image re-reads, structural tail
+    /// included.  A livelock shows up here long before `RetriesExhausted`.
+    pub restarts: u64,
     /// Whether the node lock was obtained through a local handover.
     pub handed_over: bool,
     /// Whether the leaf address came from the index cache.
@@ -53,6 +57,7 @@ impl OpStats {
             bytes_read: d.bytes_read,
             lock_retries: 0,
             read_retries: 0,
+            restarts: 0,
             handed_over: false,
             cache_hit: false,
             latency_ns,

@@ -14,8 +14,8 @@
 
 use crate::global::GlobalLockTable;
 use crate::manager::{
-    drive_acquire, flush_writes_and_release, AcquireOutcome, LocalTicket, LocalTry,
-    NodeLockManager, ReleaseOutcome, ReleaseVerb, DEFAULT_POLL_INTERVAL_NS,
+    flush_writes_and_release, LocalTicket, LocalTry, NodeLockManager, ReleaseOutcome, ReleaseVerb,
+    DEFAULT_POLL_INTERVAL_NS,
 };
 use parking_lot::Mutex;
 use sherman_sim::{ClientCtx, FabricChannel, GlobalAddress, PendingVerb, SimResult, WriteCmd};
@@ -166,11 +166,6 @@ impl LocalLockTable {
         let shard = &self.shards[(slot as usize ^ ms as usize) % self.shards.len()];
         let mut map = shard.lock();
         Arc::clone(map.entry((ms, slot)).or_default())
-    }
-
-    /// Number of lock records currently materialized (observability/tests).
-    pub fn materialized_locks(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Number of threads currently queued on the local lock for `(ms, slot)`
@@ -359,23 +354,6 @@ impl HoclManager {
         ))
     }
 
-    /// Acquire lock `slot` on memory server `ms` directly (used by the lock
-    /// microbenchmarks, which exercise the lock service without a tree).
-    pub fn acquire_raw<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        ms: u16,
-        slot: u64,
-    ) -> SimResult<AcquireOutcome> {
-        let cs = client.cs_id();
-        drive_acquire(
-            client,
-            self.options.poll_interval_ns,
-            |ticket| self.try_lock_slot(cs, ms, slot, ticket),
-            |c| self.post_lock_slot(c, ms, slot),
-        )
-    }
-
     /// Whether `a` and `b` are guarded by the same lock word (inherent
     /// mirror of [`NodeLockManager::same_lock`], callable without fixing the
     /// channel type).
@@ -393,18 +371,6 @@ impl HoclManager {
     /// [`NodeLockManager::lock_plan`]).
     pub fn lock_plan(&self, nodes: &[GlobalAddress]) -> Vec<GlobalAddress> {
         crate::manager::plan_locks(nodes, |a, b| self.same_lock(a, b), |n| self.lock_rank(n))
-    }
-
-    /// Release lock `slot` on memory server `ms` directly.
-    pub fn release_raw<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        ms: u16,
-        slot: u64,
-    ) -> SimResult<ReleaseOutcome> {
-        let (outcome, deferred) = self.release_slot(client, ms, slot, Vec::new(), true, false)?;
-        debug_assert!(deferred.is_none());
-        Ok(outcome)
     }
 }
 

@@ -75,8 +75,8 @@ pub enum LocalTry {
 }
 
 /// Drive an acquisition to completion, blocking: local tries separated by
-/// `poll_ns` of CPU time, then remote attempts until one wins.  The blocking
-/// [`NodeLockManager::acquire`] and HOCL's raw-slot entry point share it.
+/// `poll_ns` of CPU time, then remote attempts until one wins: the body of
+/// the blocking [`NodeLockManager::acquire`].
 pub(crate) fn drive_acquire<C: FabricChannel>(
     client: &mut ClientCtx<C>,
     poll_ns: u64,
