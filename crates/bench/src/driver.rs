@@ -43,8 +43,9 @@ impl std::fmt::Display for DrivePath {
 }
 
 /// The smoke gates' ceiling on one operation's restarts
-/// (`OpStats::restarts`): a livelock trips it long before the operation's
-/// 10,000-attempt budget fails it with `RetriesExhausted`.
+/// (`OpStats::restarts`: re-locations and torn re-reads, not B-link sibling
+/// chases): a livelock trips it long before the operation's 10,000-attempt
+/// budget fails it with `RetriesExhausted`.
 pub const MAX_OP_RESTARTS: u64 = 64;
 
 /// The fabric of a bench deployment: the given server counts, calibrated

@@ -1809,9 +1809,38 @@ mod tests {
         client.try_merge(target, 0, &mut meta).unwrap();
         let reads = client.fabric_stats().delta_since(&before).reads;
         assert!(reads <= 16, "merge discovery spent {reads} reads");
+        // Leaving the stale route is a re-location: a retry the restart
+        // gate sees.
+        assert!(meta.restarts >= 1, "the re-location was not charged");
         for k in (0..n).step_by(101) {
             assert_eq!(client.lookup(k).unwrap().0, Some(k + 1), "key {k}");
         }
+    }
+
+    /// Another compute server appends at the right edge while this one's
+    /// type-❶ entry for the rightmost level-1 node stands still, so a
+    /// lookup of the newest key walks the B-link chain from a leaf many
+    /// splits back.  The walk spends the location budget but charges no
+    /// restart (`OpStats::restarts`, which the smokes gate at
+    /// `MAX_OP_RESTARTS` = 64): a chase always moves right, so it is
+    /// progress, not a livelock.
+    #[test]
+    fn a_long_sibling_chase_is_not_counted_as_restarts() {
+        let cluster = small_cluster(TreeOptions::sherman());
+        cluster.bulkload((0..500u64).map(|k| (k, k + 1))).unwrap();
+        let mut behind = cluster.client(0);
+        let mut appender = cluster.client(1);
+        assert_eq!(behind.lookup(499).unwrap().0, Some(500));
+        let last = 4_000u64;
+        for k in 500..=last {
+            appender.insert(k, k + 1).unwrap();
+        }
+
+        let (value, stats) = behind.lookup(last).unwrap();
+        assert_eq!(value, Some(last + 1));
+        assert!(stats.cache_hit, "the lookup must start from the stale entry");
+        assert!(stats.reads > 64, "only {} reads: no long walk", stats.reads);
+        assert_eq!(stats.restarts, 0);
     }
 
     #[test]

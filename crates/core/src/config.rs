@@ -359,7 +359,7 @@ mod tests {
                 lock_strategy: LockStrategy::HostCasFaa,
                 leaf_format: LeafFormat::SortedChecksum,
                 merge_threshold: TreeOptions::DEFAULT_MERGE_THRESHOLD,
-                    pipeline_depth: TreeOptions::DEFAULT_PIPELINE_DEPTH,
+                pipeline_depth: TreeOptions::DEFAULT_PIPELINE_DEPTH,
                 offload: OffloadPolicy::Never,
             }
         );
@@ -371,7 +371,7 @@ mod tests {
                 lock_strategy: LockStrategy::HostCasWrite,
                 leaf_format: LeafFormat::SortedNodeVersion,
                 merge_threshold: TreeOptions::DEFAULT_MERGE_THRESHOLD,
-                    pipeline_depth: TreeOptions::DEFAULT_PIPELINE_DEPTH,
+                pipeline_depth: TreeOptions::DEFAULT_PIPELINE_DEPTH,
                 offload: OffloadPolicy::Never,
             }
         );

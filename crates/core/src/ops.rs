@@ -45,10 +45,11 @@
 //! Scrubbing before the retry is what keeps a stale route from being
 //! followed until the budget runs out (the stale window, see
 //! `docs/ARCHITECTURE.md`).  Every attempt after the first — a re-locate, a
-//! sibling chase, a torn-image re-read — goes through one [`Restarts`]
-//! budget type: it backs off, is charged to the op's restart count
-//! ([`OpMeta::restarts`], surfaced as `OpStats::restarts`), and fails the op
-//! with the typed `RetriesExhausted` once spent.
+//! sibling chase, a torn-image re-read — spends one [`Restarts`] budget,
+//! which fails the op with the typed `RetriesExhausted` once spent.  A
+//! re-locate or re-read is a *retry*: it backs off and is charged to the
+//! op's restart count ([`OpMeta::restarts`], surfaced as
+//! `OpStats::restarts`).  A sibling chase is not: it always moves right.
 //!
 //! ## Lock critical sections yield at every verb
 //!
@@ -102,9 +103,9 @@ use std::sync::Arc;
 pub(crate) struct OpMeta {
     pub read_retries: u64,
     pub lock_retries: u64,
-    /// Attempts beyond the first across every [`Restarts`] budget the op
-    /// ran (re-locations, sibling chases, torn-image re-reads), structural
-    /// tail included.
+    /// Retries across every [`Restarts`] budget the op ran (re-locations
+    /// and torn-image re-reads; B-link sibling chases are not retries),
+    /// structural tail included.
     pub restarts: u64,
     pub handed_over: bool,
     pub cache_hit: bool,
@@ -119,14 +120,20 @@ const MAX_READ_RETRIES: u32 = 1_000;
 /// B-link sibling chases.
 const MAX_RESTARTS: u32 = 10_000;
 
-/// One retry budget: counts attempts, backs off before every attempt after
-/// the first (`contention_backoff`, a no-op on the virtual clock), charges
-/// each such retry to [`OpMeta::restarts`], and fails with the typed
-/// `RetriesExhausted` once `limit` attempts were spent.
+/// One retry budget: counts attempts and fails with the typed
+/// `RetriesExhausted` once `limit` were spent.  A *retry* — every
+/// [`Restarts::attempt`] after the first — backs off first
+/// (`contention_backoff`, a no-op on the virtual clock) and is charged to
+/// [`OpMeta::restarts`].  A B-link sibling hop ([`Restarts::spend`]) spends
+/// the budget but is neither: it always moves right, so it is progress
+/// rather than contention.  The churn and scenario smokes gate the charged
+/// count, so a long but finite chase behind a stale cache entry never trips
+/// them; only re-locations and re-reads that fail to converge do.
 struct Restarts {
     context: &'static str,
     limit: u32,
     spent: u32,
+    retries: u32,
 }
 
 impl Restarts {
@@ -135,6 +142,7 @@ impl Restarts {
             context,
             limit,
             spent: 0,
+            retries: 0,
         }
     }
 
@@ -144,15 +152,23 @@ impl Restarts {
         ctx: &ClientCtx<C>,
         meta: &mut OpMeta,
     ) -> TreeResult<()> {
+        self.spend()?;
+        if self.spent > 1 {
+            self.retries += 1;
+            ctx.contention_backoff(self.retries);
+            meta.restarts += 1;
+        }
+        Ok(())
+    }
+
+    /// Spend one attempt with no backoff and no charge — a B-link sibling
+    /// hop — or fail when the budget is spent.
+    fn spend(&mut self) -> TreeResult<()> {
         if self.spent == self.limit {
             return Err(TreeError::RetriesExhausted {
                 context: self.context,
                 attempts: self.limit,
             });
-        }
-        if self.spent > 0 {
-            ctx.contention_backoff(self.spent);
-            meta.restarts += 1;
         }
         self.spent += 1;
         Ok(())
@@ -586,7 +602,7 @@ pub(crate) enum Located {
 enum Cursor {
     /// Start a fresh attempt: type-❶ cache, offload RPC, type-❷ or root.
     Fresh,
-    /// Chase a B-link sibling (a retry, charged like a fresh attempt).
+    /// Chase a B-link sibling (spends the budget; not a retry).
     Chase(Hop),
     /// Visit `hop`: hand it out at the level sought, read it above.
     Visit { hop: Hop, read: Option<ReadNodeSM> },
@@ -847,7 +863,7 @@ impl Locate {
                 }
                 Cursor::Chase(hop) => {
                     let hop = *hop;
-                    self.restarts.attempt(cx.ctx, meta)?;
+                    self.restarts.spend()?;
                     self.cursor = Cursor::Visit { hop, read: None };
                 }
                 Cursor::Visit { hop, read } => {

@@ -30,9 +30,10 @@ pub struct OpStats {
     pub lock_retries: u64,
     /// Re-reads forced by version / checksum mismatches.
     pub read_retries: u64,
-    /// Retries granted by the operation's restart budgets: re-locations,
-    /// B-link sibling chases and torn-image re-reads, structural tail
-    /// included.  A livelock shows up here long before `RetriesExhausted`.
+    /// Retries granted by the operation's restart budgets: re-locations and
+    /// torn-image re-reads, structural tail included.  B-link sibling
+    /// chases spend the budget but are not retries (they always move
+    /// right).  A livelock shows up here long before `RetriesExhausted`.
     pub restarts: u64,
     /// Whether the node lock was obtained through a local handover.
     pub handed_over: bool,
